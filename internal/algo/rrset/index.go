@@ -18,13 +18,15 @@ import (
 //     the fraction of RR sets hit by S — the same unbiased estimator the
 //     RR-set selection algorithms report (paper M4 / Appendix A), with
 //     relative error O(1/sqrt(θ·F)).
-//   - SelectSeeds(k) runs lazy greedy max-cover over the stored sets, i.e.
-//     the node-selection phase of TIM+/IMM decoupled from their sampling
-//     phase, so per-query k costs only the greedy, never the sampling.
+//   - SelectSeeds(k) returns the first k picks of greedy max-cover over the
+//     stored sets, i.e. the node-selection phase of TIM+/IMM decoupled from
+//     their sampling phase. The greedy order is computed once, lazily, and
+//     extended on demand: the first query pays the greedy up to its k, and
+//     every query after it for a k the order already holds is a copy.
 //
-// The index is immutable after construction and safe for concurrent
-// queries: SpreadOf reads shared state only, and SelectSeeds clones the
-// coverage marks per call.
+// The index is safe for concurrent queries: SpreadOf reads shared state
+// only, and SelectSeeds extends the coverage problem's greedy order under
+// its mutex.
 //
 // Under a streaming build (Context.ArenaBytes > 0) the raw sets are never
 // materialized: only the inversion is kept, store is nil and the index is
@@ -130,24 +132,22 @@ func (ix *Index) SpreadOf(seeds []graph.NodeID) float64 {
 	return float64(ix.n) * float64(covered) / float64(ix.numSets)
 }
 
-// SelectSeeds greedily selects k seeds by max-cover over the stored sets
-// and returns them with the extrapolated spread estimate n·F(S). poll
-// (when non-nil) is invoked periodically; a non-nil return aborts the
-// selection with that error, which is how per-request deadlines reach the
-// greedy. Each call works on a private clone of the coverage marks, so
-// concurrent selections do not interfere.
+// SelectSeeds returns the first k seeds of the greedy max-cover order over
+// the stored sets with the extrapolated spread estimate n·F(S). poll (when
+// non-nil) is invoked periodically while the order is extended; a non-nil
+// return stops the extension with that error, which is how per-request
+// deadlines reach the greedy. The picks made before the stop are kept for
+// the next call. The returned slice is freshly allocated.
 func (ix *Index) SelectSeeds(k int, poll func() error) ([]graph.NodeID, float64, error) {
 	if k < 1 {
 		k = 1
 	}
-	res, err := ix.cp.Clone().GreedyMaxCoverPoll(k, poll)
+	res, err := ix.cp.GreedyMaxCoverPoll(k, poll)
 	if err != nil {
 		return nil, 0, err
 	}
-	seeds := make([]graph.NodeID, len(res.Seeds))
-	copy(seeds, res.Seeds)
 	// Same expression as SpreadOf so a follow-up point query for the
 	// selected set returns bit-identical spread.
 	spread := float64(ix.n) * float64(res.NumCovered) / float64(ix.numSets)
-	return seeds, spread, nil
+	return res.Seeds, spread, nil
 }

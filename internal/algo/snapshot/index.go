@@ -3,6 +3,7 @@ package snapshot
 import (
 	"container/heap"
 	"fmt"
+	"sync"
 
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/diffusion"
@@ -17,22 +18,45 @@ import (
 //
 //   - SpreadOf(S) averages |reach(S)| over the stored DAGs, the unbiased
 //     snapshot estimator of σ(S) (paper §4.3).
-//   - SelectSeeds(k) runs PMC's lazy greedy — descendant-mass upper bounds
-//     as optimistic priors, exact DAG BFS on demand — against per-call
-//     covered marks.
+//   - SelectSeeds(k) returns the first k picks of PMC's lazy greedy —
+//     descendant-mass upper bounds as optimistic priors, exact DAG BFS on
+//     demand. The greedy order is computed once, lazily, and extended on
+//     demand: the first query pays the greedy up to its k, and every query
+//     after it for a k the order already holds is a copy.
 //
-// The pool is immutable after construction; every query allocates its own
-// scratch (marks, queues, covered arrays), so concurrent queries are safe.
+// The DAGs are immutable after construction. SpreadOf allocates its own
+// scratch; SelectSeeds extends the shared greedy state under a mutex, so
+// concurrent queries are safe.
 type Pool struct {
 	n       int32
 	entries []poolEntry
 	maxComp int32
 	bytes   int64
+
+	mu sync.Mutex // guards g
+	g  poolGreedy
+}
+
+// poolGreedy is the lazy greedy's progress between SelectSeeds calls. It
+// is consistent whenever the mutex is free: a poll failure only stops the
+// greedy between two exact evaluations, so the next call resumes exactly
+// where the last one stopped.
+type poolGreedy struct {
+	covered [][]bool // per DAG: component covered by the picks so far
+	h       lazyHeap
+	seeds   []graph.NodeID // picks in selection order
+	// spread[i] = estimated spread of seeds[:i], the marginal gains summed
+	// in pick order; len(seeds)+1.
+	spread []float64
+	// BFS scratch: epoch-stamped visit marks and the queue.
+	mark  []uint32
+	epoch uint32
+	queue []int32
 }
 
 // poolEntry is one condensed snapshot: the SCC DAG plus the per-component
 // descendant-mass upper bound. Unlike the offline `condensed` type it
-// carries no covered marks — those are per-query state.
+// carries no covered marks — those live in the pool's greedy state.
 type poolEntry struct {
 	dag   *graphalgo.Condensation
 	bound []float64
@@ -191,106 +215,123 @@ func (p *Pool) SpreadOf(seeds []graph.NodeID, poll func() error) (float64, error
 	return float64(total) / float64(len(p.entries)), nil
 }
 
-// SelectSeeds greedily selects k seeds with PMC's pruned lazy greedy and
-// returns them with the pool's spread estimate of the selected set. poll
-// (when non-nil) is invoked once per exact evaluation; a non-nil return
-// aborts with that error. Covered marks are per-call, so concurrent
-// selections do not interfere.
+// SelectSeeds returns the first k seeds of PMC's pruned lazy greedy with
+// the pool's spread estimate of the selected set, extending the greedy
+// order first if it holds fewer than k picks. poll (when non-nil) is
+// invoked once per exact evaluation; a non-nil return stops the extension
+// with that error, and the picks made before it are kept for the next
+// call. poll runs with the pool's mutex held, so it must return promptly.
+// The returned slice is freshly allocated.
 func (p *Pool) SelectSeeds(k int, poll func() error) ([]graph.NodeID, float64, error) {
 	if k < 1 {
 		k = 1
 	}
-	r := len(p.entries)
-	if r == 0 {
+	if len(p.entries) == 0 {
 		return nil, 0, nil
 	}
-	covered := make([][]bool, r)
-	for i, e := range p.entries {
-		covered[i] = make([]bool, e.dag.NComp)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.extend(k, poll); err != nil {
+		return nil, 0, err
 	}
-	mark := make([]uint32, p.maxComp)
-	var epoch uint32
-	queue := make([]int32, 0, 256)
+	g := &p.g
+	k = min(k, len(g.seeds))
+	return append([]graph.NodeID(nil), g.seeds[:k]...), g.spread[k], nil
+}
 
-	exactGain := func(v graph.NodeID) float64 {
-		total := int64(0)
+// extend runs the lazy greedy until it holds k picks or every node is
+// picked. The caller holds p.mu.
+func (p *Pool) extend(k int, poll func() error) error {
+	g := &p.g
+	r := len(p.entries)
+	if g.covered == nil {
+		g.covered = make([][]bool, r)
 		for i, e := range p.entries {
-			c := e.dag.Comp[v]
-			if covered[i][c] {
-				continue
-			}
-			epoch++
-			queue = queue[:0]
-			queue = append(queue, c)
-			mark[c] = epoch
-			for head := 0; head < len(queue); head++ {
-				x := queue[head]
-				if !covered[i][x] {
-					total += int64(e.dag.Size[x])
-				}
-				for _, y := range e.dag.OutNeighbors(x) {
-					if mark[y] != epoch {
-						mark[y] = epoch
-						queue = append(queue, y)
-					}
-				}
-			}
+			g.covered[i] = make([]bool, e.dag.NComp)
 		}
-		return float64(total) / float64(r)
-	}
-
-	commit := func(v graph.NodeID) {
-		for i, e := range p.entries {
-			c := e.dag.Comp[v]
-			if covered[i][c] {
-				continue
+		g.mark = make([]uint32, p.maxComp)
+		g.queue = make([]int32, 0, 256)
+		g.h = make(lazyHeap, 0, p.n)
+		for v := graph.NodeID(0); v < p.n; v++ {
+			ub := 0.0
+			for _, e := range p.entries {
+				ub += e.bound[e.dag.Comp[v]]
 			}
-			epoch++
-			queue = queue[:0]
-			queue = append(queue, c)
-			mark[c] = epoch
-			for head := 0; head < len(queue); head++ {
-				x := queue[head]
-				covered[i][x] = true
-				for _, y := range e.dag.OutNeighbors(x) {
-					if mark[y] != epoch && !covered[i][y] {
-						mark[y] = epoch
-						queue = append(queue, y)
-					}
-				}
-			}
+			g.h = append(g.h, lazyItem{node: v, gain: ub / float64(r), round: -1})
 		}
+		heap.Init(&g.h)
+		g.spread = []float64{0}
 	}
-
-	h := make(lazyHeap, 0, p.n)
-	for v := graph.NodeID(0); v < p.n; v++ {
-		ub := 0.0
-		for _, e := range p.entries {
-			ub += e.bound[e.dag.Comp[v]]
-		}
-		h = append(h, lazyItem{node: v, gain: ub / float64(r), round: -1})
-	}
-	heap.Init(&h)
-
-	seeds := make([]graph.NodeID, 0, k)
-	spread := 0.0
-	for len(seeds) < k && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			spread += top.gain
-			commit(top.node)
-			heap.Pop(&h)
+	for len(g.seeds) < k && len(g.h) > 0 {
+		top := &g.h[0]
+		if int(top.round) == len(g.seeds) {
+			g.seeds = append(g.seeds, top.node)
+			g.spread = append(g.spread, g.spread[len(g.spread)-1]+top.gain)
+			p.commit(top.node)
+			heap.Pop(&g.h)
 			continue
 		}
 		if poll != nil {
 			if err := poll(); err != nil {
-				return nil, 0, err
+				return err
 			}
 		}
-		top.gain = exactGain(top.node)
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
+		top.gain = p.exactGain(top.node)
+		top.round = int32(len(g.seeds))
+		heap.Fix(&g.h, 0)
 	}
-	return seeds, spread, nil
+	return nil
+}
+
+// exactGain is v's marginal spread over the current picks: the uncovered
+// mass reachable from v, averaged over the DAGs.
+func (p *Pool) exactGain(v graph.NodeID) float64 {
+	g := &p.g
+	total := int64(0)
+	for i, e := range p.entries {
+		c := e.dag.Comp[v]
+		if g.covered[i][c] {
+			continue
+		}
+		g.epoch++
+		g.queue = append(g.queue[:0], c)
+		g.mark[c] = g.epoch
+		for head := 0; head < len(g.queue); head++ {
+			x := g.queue[head]
+			if !g.covered[i][x] {
+				total += int64(e.dag.Size[x])
+			}
+			for _, y := range e.dag.OutNeighbors(x) {
+				if g.mark[y] != g.epoch {
+					g.mark[y] = g.epoch
+					g.queue = append(g.queue, y)
+				}
+			}
+		}
+	}
+	return float64(total) / float64(len(p.entries))
+}
+
+// commit marks everything reachable from v as covered in every DAG.
+func (p *Pool) commit(v graph.NodeID) {
+	g := &p.g
+	for i, e := range p.entries {
+		c := e.dag.Comp[v]
+		if g.covered[i][c] {
+			continue
+		}
+		g.epoch++
+		g.queue = append(g.queue[:0], c)
+		g.mark[c] = g.epoch
+		for head := 0; head < len(g.queue); head++ {
+			x := g.queue[head]
+			g.covered[i][x] = true
+			for _, y := range e.dag.OutNeighbors(x) {
+				if g.mark[y] != g.epoch && !g.covered[i][y] {
+					g.mark[y] = g.epoch
+					g.queue = append(g.queue, y)
+				}
+			}
+		}
+	}
 }

@@ -39,8 +39,8 @@ func assertProblemsEqual(t *testing.T, n int32, want, got *CoverageProblem) {
 			}
 		}
 	}
-	a := want.Clone().GreedyMaxCover(5)
-	b := got.Clone().GreedyMaxCover(5)
+	a := want.GreedyMaxCover(5)
+	b := got.GreedyMaxCover(5)
 	if len(a.Seeds) != len(b.Seeds) || a.NumCovered != b.NumCovered {
 		t.Fatalf("greedy mismatch: %v/%d vs %v/%d", a.Seeds, a.NumCovered, b.Seeds, b.NumCovered)
 	}

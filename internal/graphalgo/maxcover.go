@@ -1,6 +1,9 @@
 package graphalgo
 
-import "container/heap"
+import (
+	"container/heap"
+	"sync"
+)
 
 // Greedy maximum coverage
 //
@@ -26,23 +29,58 @@ import "container/heap"
 //
 // Both guarantee the (1−1/e) approximation of monotone submodular
 // maximization.
+//
+// Neither path looks at k while it picks, so the answer for k is exactly
+// the first k picks of any longer run. The problem therefore keeps the
+// greedy's state between calls and extends one pick order on demand: an
+// online oracle pays the greedy once per index, and every query for a k
+// the order already holds is a copy of its prefix.
 
 // CoverageProblem is a universe of sets over node elements, consumed from a
 // flat SetStore and inverted into a flat per-node membership index (CSR:
 // invData[invOff[v]:invOff[v+1]] lists the sets containing node v) at
 // construction. The flat inversion costs O(1) allocations instead of one
 // growing slice per node.
+//
+// The problem also keeps the greedy's progress (see greedyState), so a
+// longer selection resumes where a shorter one stopped and a shorter one
+// is a copy of a prefix. It is safe for concurrent use.
 type CoverageProblem struct {
 	numSets int
 	invOff  []int64 // node -> start of its membership run in invData
 	invData []int32 // concatenated set indices, grouped by node
-	covered Bitset  // set -> already covered
+	covered Bitset  // set -> already covered by the greedy's picks
 	degree  []int64 // node -> number of sets containing it
 	// sets is the forward arena the problem was inverted from, retained
 	// (immutably — the caller must not mutate it while the problem lives)
 	// to drive the degradation-scan greedy. nil in streaming mode, where
 	// the lazy heap runs off the inversion alone.
 	sets *SetStore
+
+	mu sync.Mutex  // guards covered and g
+	g  greedyState // the greedy's pick order and resumable state
+
+	// scratch pools the per-call set bitsets of CoverageOf.
+	scratch sync.Pool
+}
+
+// greedyState is the greedy's progress between calls. Every field is
+// consistent whenever the mutex is free: a poll failure only ever stops
+// the greedy between two picks (or between two lazy re-evaluations), so
+// the next call resumes exactly where the last one stopped.
+type greedyState struct {
+	order []int32 // picks in selection order, then the padding
+	cum   []int64 // cum[i] = sets covered by order[:i]; len(order)+1
+	// Scan path: flat gains, picked marks and per-node degrade markers.
+	gain   []uint32
+	picked Bitset
+	mark   []int32
+	live   int // unpicked nodes with degree > 0
+	// Lazy path: the CELF heap; its round is the number of picks so far.
+	heap coverHeap
+	// pad is the next node id considered for padding once every node of
+	// positive degree has been picked.
+	pad int32
 }
 
 // NewCoverageProblem inverts the store's sets (each a list of node ids over
@@ -116,89 +154,113 @@ func (cp *CoverageProblem) GreedyMaxCover(k int) MaxCoverResult {
 	return res
 }
 
-// Clone returns a coverage problem sharing the (immutable) set inversion
-// and forward arena with cp but carrying fresh covered marks, so several
-// greedy covers can run concurrently over one index. The greedy never
-// mutates the inversion, arena or degree, only covered; cloning is
-// therefore O(#sets / 64).
-func (cp *CoverageProblem) Clone() *CoverageProblem {
-	return &CoverageProblem{
-		numSets: cp.numSets,
-		invOff:  cp.invOff,
-		invData: cp.invData,
-		covered: NewBitset(cp.numSets),
-		degree:  cp.degree,
-		sets:    cp.sets,
-	}
-}
-
-// GreedyMaxCoverPoll is GreedyMaxCover with a cooperative cancellation
-// hook: poll (when non-nil) is invoked once per selection round plus every
-// pollStride covered-set degradations (materialized path) or lazy
-// re-evaluations (streaming path), and a non-nil return aborts the greedy
-// with that error. Online serving uses it to honor per-request deadlines.
-// res.Seeds is freshly allocated on every call and shares no memory with
-// the problem's internal state.
+// GreedyMaxCoverPoll returns the first k picks of the greedy order,
+// extending the order first if it holds fewer than k. Greedy max-cover is
+// sequential and deterministic, so the answer for k is exactly the first k
+// picks of any longer run: the order is computed once per problem and
+// every later call with a smaller k is a copy. When fewer than k nodes
+// appear in any set the order is padded with the remaining nodes in
+// ascending id order.
+//
+// poll (when non-nil) is invoked at the start of every selection round and
+// every pollStride lazy re-evaluations (streaming path); a non-nil return
+// stops the extension with that error. The picks made so far are kept, so
+// the next call resumes. Online serving uses it to honor per-request
+// deadlines. poll runs with the problem's mutex held: it must return
+// promptly and must not call back into the problem. res.Seeds is freshly
+// allocated on every call and shares no memory with the problem's
+// internal state.
 func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCoverResult, error) {
-	if cp.sets != nil {
-		return cp.greedyScan(k, poll)
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	k = min(max(k, 0), len(cp.degree))
+	if cp.g.cum == nil {
+		cp.g.cum = []int64{0}
 	}
-	return cp.greedyLazy(k, poll)
+	if len(cp.g.order) < k {
+		var err error
+		if cp.sets != nil {
+			err = cp.extendScan(k, poll)
+		} else {
+			err = cp.extendLazy(k, poll)
+		}
+		if err != nil {
+			return MaxCoverResult{}, err
+		}
+		cp.padTo(k)
+	}
+	g := &cp.g
+	res := MaxCoverResult{
+		Seeds:          append([]int32(nil), g.order[:k]...),
+		NumCovered:     g.cum[k],
+		PerSeedCovered: make([]int64, k),
+	}
+	for i := range res.PerSeedCovered {
+		res.PerSeedCovered[i] = g.cum[i+1] - g.cum[i]
+	}
+	if cp.numSets > 0 {
+		res.Fraction = float64(res.NumCovered) / float64(cp.numSets)
+	}
+	return res, nil
 }
 
-// greedyScan is the materialized-path greedy: flat uint32 gains degraded in
+// pick appends v with marginal gain to the order.
+func (g *greedyState) pick(v int32, gain int64) {
+	g.order = append(g.order, v)
+	g.cum = append(g.cum, g.cum[len(g.cum)-1]+gain)
+}
+
+// extendScan is the materialized-path greedy: flat uint32 gains degraded in
 // arena offset order. See the package comment for the layout argument; the
-// selection rule (max gain, min node id) matches greedyLazy exactly.
-func (cp *CoverageProblem) greedyScan(k int, poll func() error) (MaxCoverResult, error) {
-	res := MaxCoverResult{}
+// selection rule (max gain, min node id) matches extendLazy exactly.
+func (cp *CoverageProblem) extendScan(k int, poll func() error) error {
+	g := &cp.g
 	n := len(cp.degree)
-	gain := make([]uint32, n) // degree ≤ numSets < 2^31: always fits
-	live := 0                 // unpicked nodes with degree > 0
-	for v, d := range cp.degree {
-		gain[v] = uint32(d)
-		if d > 0 {
-			live++
+	if g.gain == nil {
+		g.gain = make([]uint32, n) // degree ≤ numSets < 2^31: always fits
+		for v, d := range cp.degree {
+			g.gain[v] = uint32(d)
+			if d > 0 {
+				g.live++
+			}
+		}
+		g.picked = NewBitset(n)
+		// mark[v] = set currently degrading v: duplicate elements within
+		// one stored set decrement v's gain once, mirroring the inversion's
+		// dedup. Each set is degraded at most once (covered flips once), so
+		// markers never need clearing.
+		g.mark = make([]int32, n)
+		for i := range g.mark {
+			g.mark[i] = -1
 		}
 	}
-	picked := NewBitset(n)
-	// mark[v] = set currently degrading v: duplicate elements within one
-	// stored set decrement v's gain once, mirroring the inversion's dedup.
-	// Each set is degraded at most once (covered flips once), so markers
-	// never need clearing.
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	covered := int64(0)
-	degrades := 0
-	for round := 0; round < k && live > 0; round++ {
+	for len(g.order) < k && g.live > 0 {
 		if poll != nil {
 			if err := poll(); err != nil {
-				return res, err
+				return err
 			}
 		}
 		// Branch-light linear argmax: strict > keeps the lowest node id on
 		// gain ties, the shared selection rule.
 		best, bestGain := -1, uint32(0)
 		for v := 0; v < n; v++ {
-			if gain[v] > bestGain && !picked.Test(v) && cp.degree[v] > 0 {
-				best, bestGain = v, gain[v]
+			if g.gain[v] > bestGain && !g.picked.Test(v) && cp.degree[v] > 0 {
+				best, bestGain = v, g.gain[v]
 			}
 		}
 		if best < 0 {
 			// All remaining gains are zero: fill with the lowest-id live
 			// node, as the lazy path's stale-heap drain does.
 			for v := 0; v < n; v++ {
-				if !picked.Test(v) && cp.degree[v] > 0 {
+				if !g.picked.Test(v) && cp.degree[v] > 0 {
 					best = v
 					break
 				}
 			}
 		}
-		picked.Set(best)
-		live--
-		res.Seeds = append(res.Seeds, int32(best))
-		res.PerSeedCovered = append(res.PerSeedCovered, int64(bestGain))
+		g.picked.Set(best)
+		g.live--
+		g.pick(int32(best), int64(bestGain))
 		if bestGain == 0 {
 			continue
 		}
@@ -207,59 +269,55 @@ func (cp *CoverageProblem) greedyScan(k int, poll func() error) (MaxCoverResult,
 				continue
 			}
 			cp.covered.Set(int(si))
-			covered++
-			degrades++
-			if poll != nil && degrades%pollStride == 0 {
-				if err := poll(); err != nil {
-					return res, err
-				}
-			}
 			for _, v := range cp.sets.Set(int(si)) {
-				if mark[v] == si {
+				if g.mark[v] == si {
 					continue
 				}
-				mark[v] = si
-				gain[v]--
+				g.mark[v] = si
+				g.gain[v]--
 			}
 		}
 	}
-	return cp.finishCover(res, covered, k)
+	return nil
 }
 
-// greedyLazy is the streaming-path greedy: a lazy (CELF) heap over cached
+// extendLazy is the streaming-path greedy: a lazy (CELF) heap over cached
 // gains, needing only the inversion. The comparator's node tie-break makes
 // a fresh heap top the unique argmax under the shared selection rule, so
-// seeds match greedyScan element for element.
-func (cp *CoverageProblem) greedyLazy(k int, poll func() error) (MaxCoverResult, error) {
-	res := MaxCoverResult{}
-	h := make(coverHeap, 0, len(cp.degree))
-	for v, d := range cp.degree {
-		if d > 0 {
-			h = append(h, coverItem{node: int32(v), gain: d, round: 0})
+// seeds match extendScan element for element.
+func (cp *CoverageProblem) extendLazy(k int, poll func() error) error {
+	g := &cp.g
+	if g.heap == nil {
+		g.heap = make(coverHeap, 0, len(cp.degree))
+		for v, d := range cp.degree {
+			if d > 0 {
+				g.heap = append(g.heap, coverItem{node: int32(v), gain: d, round: 0})
+			}
 		}
+		heap.Init(&g.heap)
 	}
-	heap.Init(&h)
-	covered := int64(0)
 	reevals := 0
-	for round := 0; round < k && len(h) > 0; round++ {
+	for len(g.order) < k && len(g.heap) > 0 {
 		if poll != nil {
 			if err := poll(); err != nil {
-				return res, err
+				return err
 			}
 		}
+		round := int32(len(g.order))
 		var pick coverItem
 		for {
-			top := h[0]
-			if int(top.round) == round {
+			top := g.heap[0]
+			if top.round == round {
 				pick = top
-				heap.Pop(&h)
+				heap.Pop(&g.heap)
 				break
 			}
-			// Recompute the stale gain lazily.
+			// Recompute the stale gain lazily. Between two re-evaluations
+			// the heap is consistent, so the poll may stop here.
 			reevals++
 			if poll != nil && reevals%pollStride == 0 {
 				if err := poll(); err != nil {
-					return res, err
+					return err
 				}
 			}
 			gain := int64(0)
@@ -268,72 +326,82 @@ func (cp *CoverageProblem) greedyLazy(k int, poll func() error) (MaxCoverResult,
 					gain++
 				}
 			}
-			h[0].gain = gain
-			h[0].round = int32(round)
-			heap.Fix(&h, 0)
+			g.heap[0].gain = gain
+			g.heap[0].round = round
+			heap.Fix(&g.heap, 0)
 		}
 		if pick.gain <= 0 {
-			// Everything coverable is covered; fill remaining seeds with the
+			// Everything coverable is covered; the remaining picks are the
 			// best leftover nodes so callers still receive k seeds.
-			res.Seeds = append(res.Seeds, pick.node)
-			res.PerSeedCovered = append(res.PerSeedCovered, 0)
+			g.pick(pick.node, 0)
 			continue
 		}
 		for _, si := range cp.memberships(pick.node) {
 			if !cp.covered.Test(int(si)) {
 				cp.covered.Set(int(si))
-				covered++
 			}
 		}
-		res.Seeds = append(res.Seeds, pick.node)
-		res.PerSeedCovered = append(res.PerSeedCovered, pick.gain)
+		g.pick(pick.node, pick.gain)
 	}
-	return cp.finishCover(res, covered, k)
+	return nil
 }
 
-// finishCover pads the seed list to k with unused nodes (ascending, so both
-// greedy paths pad identically when fewer than k nodes appear in any set)
-// and fills the summary fields.
-func (cp *CoverageProblem) finishCover(res MaxCoverResult, covered int64, k int) (MaxCoverResult, error) {
-	if len(res.Seeds) < k {
-		chosen := make(map[int32]struct{}, len(res.Seeds))
-		for _, s := range res.Seeds {
-			chosen[s] = struct{}{}
-		}
-		for v := int32(0); len(res.Seeds) < k && int(v) < len(cp.degree); v++ {
-			if _, dup := chosen[v]; dup {
-				continue
-			}
-			res.Seeds = append(res.Seeds, v)
-			res.PerSeedCovered = append(res.PerSeedCovered, 0)
-		}
+// padTo pads the order to k once the greedy has picked every node of
+// positive degree, with the remaining (degree-zero) nodes in ascending id
+// order, so both greedy paths pad identically when fewer than k nodes
+// appear in any set.
+func (cp *CoverageProblem) padTo(k int) {
+	g := &cp.g
+	if g.live > 0 || len(g.heap) > 0 {
+		return
 	}
-	res.NumCovered = covered
-	if cp.numSets > 0 {
-		res.Fraction = float64(covered) / float64(cp.numSets)
+	for len(g.order) < k && int(g.pad) < len(cp.degree) {
+		if cp.degree[g.pad] == 0 {
+			g.pick(g.pad, 0)
+		}
+		g.pad++
 	}
-	return res, nil
 }
 
-// pollStride bounds how many degradations or lazy re-evaluations may run
-// between two poll calls; each touches one set's element list, so this
-// keeps the deadline-check latency in the tens of microseconds on real
-// indexes.
+// pollStride bounds how many lazy re-evaluations may run between two poll
+// calls; each touches one node's membership list, so this keeps the
+// deadline-check latency in the tens of microseconds on real indexes.
 const pollStride = 256
 
 // CoverageOf returns the number of sets covered by the given seed set,
-// without mutating the problem.
+// without mutating the problem's greedy state. Distinct sets are counted
+// on a pooled set bitset: a membership whose bit was clear counts once,
+// and the bits are cleared again by replaying the same memberships, so a
+// call costs O(memberships of seeds), never O(#sets). Safe for concurrent
+// use.
 func (cp *CoverageProblem) CoverageOf(seeds []int32) int64 {
-	seen := make(map[int32]struct{})
+	seen, _ := cp.scratch.Get().(*Bitset)
+	if seen == nil {
+		b := NewBitset(cp.numSets)
+		seen = &b
+	}
+	n := int64(len(cp.degree))
+	count := int64(0)
 	for _, v := range seeds {
-		if v < 0 || int64(v) >= int64(len(cp.degree)) {
+		if v < 0 || int64(v) >= n {
 			continue
 		}
 		for _, si := range cp.memberships(v) {
-			seen[si] = struct{}{}
+			if !seen.TestAndSet(int(si)) {
+				count++
+			}
 		}
 	}
-	return int64(len(seen))
+	for _, v := range seeds {
+		if v < 0 || int64(v) >= n {
+			continue
+		}
+		for _, si := range cp.memberships(v) {
+			seen.Clear(int(si))
+		}
+	}
+	cp.scratch.Put(seen)
+	return count
 }
 
 // NumSets returns the universe size.

@@ -40,7 +40,7 @@ func TestGreedyScanMatchesLazy(t *testing.T) {
 		if scan.sets == nil {
 			t.Fatal("NewCoverageProblem did not attach the forward arena")
 		}
-		lazy := scan.Clone()
+		lazy := NewCoverageProblem(n, store)
 		lazy.sets = nil // force the streaming path on identical state
 
 		a, err := scan.GreedyMaxCoverPoll(k, nil)
@@ -68,8 +68,35 @@ func TestGreedyScanMatchesLazy(t *testing.T) {
 	}
 }
 
+// TestCoverageOfMatchesDistinctCount checks the pooled-bitset count
+// against a plain distinct count over the memberships, with duplicate and
+// out-of-range seeds, on one problem queried repeatedly so a bit left set
+// by an earlier call would show up.
+func TestCoverageOfMatchesDistinctCount(t *testing.T) {
+	r := rng.New(11)
+	const n = 60
+	cp := NewCoverageProblem(n, randomStore(r, n, 500, 10))
+	for trial := 0; trial < 200; trial++ {
+		seeds := make([]int32, r.Int31n(12))
+		for i := range seeds {
+			seeds[i] = r.Int31n(n+4) - 2 // a few out of range either side
+		}
+		want := map[int32]struct{}{}
+		for _, v := range seeds {
+			if v >= 0 && v < n {
+				for _, si := range cp.memberships(v) {
+					want[si] = struct{}{}
+				}
+			}
+		}
+		if got := cp.CoverageOf(seeds); got != int64(len(want)) {
+			t.Fatalf("trial %d: CoverageOf(%v) = %d, want %d", trial, seeds, got, len(want))
+		}
+	}
+}
+
 // TestGreedyScanPollAborts checks the scan path honors the cancellation
-// hook both at round granularity and inside the degradation loop.
+// hook at round granularity.
 func TestGreedyScanPollAborts(t *testing.T) {
 	r := rng.New(7)
 	store := randomStore(r, 200, 4000, 12)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -154,6 +156,48 @@ func TestRoundTripSnapshotPool(t *testing.T) {
 	}
 	if ws != gs {
 		t.Fatalf("SpreadOf after reload = %v, want %v", gs, ws)
+	}
+}
+
+// TestRoundTripAnswersSamePrefixes saves an oracle whose greedy order
+// was already extended, loads it, and queries the loaded oracle's prefixes
+// in shuffled order: the greedy order is not persisted, so the loaded
+// oracle rebuilds it and must answer every k exactly as the saved one.
+func TestRoundTripAnswersSamePrefixes(t *testing.T) {
+	for _, build := range []func(*testing.T) (*persist.Snapshot, persist.Header){buildRRSnapshot, buildPoolSnapshot} {
+		s, h := build(t)
+		t.Run(h.Backend, func(t *testing.T) {
+			selectSeeds := func(s *persist.Snapshot, k int) ([]graph.NodeID, float64, error) {
+				if s.RRIndex != nil {
+					return s.RRIndex.SelectSeeds(k, noPoll)
+				}
+				return s.Pool.SelectSeeds(k, noPoll)
+			}
+			const maxK = 60
+			if _, _, err := selectSeeds(s, maxK); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "oracle.snap")
+			mustSave(t, path, s)
+			got, err := persist.Load(path, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range rand.New(rand.NewSource(5)).Perm(maxK) {
+				k := i + 1
+				wantSeeds, wantSpread, err := selectSeeds(s, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotSeeds, gotSpread, err := selectSeeds(got, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(wantSeeds, gotSeeds) || math.Float64bits(wantSpread) != math.Float64bits(gotSpread) {
+					t.Fatalf("k=%d after reload = (%v, %v), want (%v, %v)", k, gotSeeds, gotSpread, wantSeeds, wantSpread)
+				}
+			}
+		})
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/loadgen"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
@@ -26,9 +29,13 @@ func overloadWorkload() loadgen.Workload {
 // admission promises under genuine concurrency:
 //
 //   - in-flight never exceeds MaxInFlight (sampled throughout the phase),
-//   - rejects are fast — in-process 429 p99 under 1ms — and accounted
-//     (Stats().Rejected matches the driver's 429 count),
+//   - rejects are accounted (Stats().Rejected matches the driver's 429
+//     count),
 //   - /readyz stays responsive while the query gate is saturated.
+//
+// The speed of the reject path is timed by TestRejectFastWhileGateFull:
+// the driver's client-side p99 here mostly measures how 16 workers are
+// scheduled onto few cores, not the server.
 func TestGateBoundedUnderLoadgenOverload(t *testing.T) {
 	srv, _ := newTestServer(t, "rrset", func(c *Config) {
 		c.MaxInFlight = 4
@@ -105,8 +112,65 @@ func TestGateBoundedUnderLoadgenOverload(t *testing.T) {
 	if got := srv.Stats().Rejected; got != ps.Status429 {
 		t.Fatalf("server counted %d rejects, driver saw %d", got, ps.Status429)
 	}
-	if ps.P99Reject429MS <= 0 || ps.P99Reject429MS >= 1 {
-		t.Fatalf("fast-429 p99 = %.3fms, want (0, 1ms)", ps.P99Reject429MS)
+	if ps.P99Reject429MS <= 0 {
+		t.Fatalf("fast-429 p99 = %.3fms, want a measured reject latency", ps.P99Reject429MS)
+	}
+}
+
+// TestRejectFastWhileGateFull times the 429 path where the server alone
+// controls it: a blocking oracle holds every admission slot, then
+// sequential requests are served in-process one at a time. Each must be
+// rejected, counted, and the p99 must stay under 1ms.
+func TestRejectFastWhileGateFull(t *testing.T) {
+	const slots, probes = 4, 200
+	block := make(chan struct{})
+	entered := make(chan struct{}, slots)
+	oracle := &stubOracle{
+		seeds: func(ctx context.Context, k int) ([]graph.NodeID, float64, error) {
+			entered <- struct{}{}
+			<-block
+			return []graph.NodeID{0}, 1, nil
+		},
+	}
+	srv, _ := newStubServer(t, oracle, func(c *Config) {
+		c.MaxInFlight = slots
+		c.CacheEntries = -1 // caching would bypass the gate
+	})
+	h := srv.Handler()
+	seedsRequest := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/seeds", strings.NewReader(`{"k":1}`))
+	}
+	var held sync.WaitGroup
+	for i := 0; i < slots; i++ {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			h.ServeHTTP(httptest.NewRecorder(), seedsRequest())
+		}()
+	}
+	defer held.Wait()
+	defer close(block)
+	for i := 0; i < slots; i++ {
+		<-entered
+	}
+
+	lat := make([]time.Duration, probes)
+	for i := range lat {
+		rec := httptest.NewRecorder()
+		req := seedsRequest()
+		start := time.Now()
+		h.ServeHTTP(rec, req)
+		lat[i] = time.Since(start)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("probe %d: status %d with the gate full, want 429", i, rec.Code)
+		}
+	}
+	if got := srv.Stats().Rejected; got != probes {
+		t.Fatalf("server counted %d rejects, want %d", got, probes)
+	}
+	slices.Sort(lat)
+	if p99 := lat[probes*99/100]; p99 >= time.Millisecond {
+		t.Fatalf("429 p99 = %v, want under 1ms", p99)
 	}
 }
 

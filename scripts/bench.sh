@@ -30,10 +30,12 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # The ratchet set: executor hot paths (stealing sampler, batched
-# evaluator, arena greedy scan) plus their committed-in-tree baselines.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat'
+# evaluator, arena greedy scan) plus their committed-in-tree baselines,
+# and the serving oracle's /v1/seeds path: the warm prefix read and the
+# one-time greedy extension after a rehydration.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold'
 # The smoke set: every bench harness the repo ships, one iteration.
-SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend'
+SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle'
 
 CPUS="${BENCH_CPUS:-1,4,8}"
 TIME="${BENCH_TIME:-0.5s}"

@@ -29,6 +29,12 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The imperf benchmark is a module of its own, so the root ./... never
+# reaches its smoke test: the only check that compares /v1/seeds grid
+# answers of a built and a cold-started oracle against pinned goldens.
+echo "==> imperf benchmark smoke test"
+(cd benchmarks/imperf && go test ./...)
+
 echo "==> serving smoke test"
 sh scripts/smoke_serve.sh
 
