@@ -16,6 +16,7 @@ import (
 	goinfmax "github.com/sigdata/goinfmax"
 	"github.com/sigdata/goinfmax/internal/algo/rank"
 	"github.com/sigdata/goinfmax/internal/algo/rrset"
+	"github.com/sigdata/goinfmax/internal/algo/snapshot"
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/diffusion"
 	"github.com/sigdata/goinfmax/internal/graph"
@@ -458,6 +459,34 @@ func BenchmarkOracleSeedsCold(b *testing.B) {
 		runtime.GC()
 		b.StartTimer()
 		seeds, sp, err := ix.SelectSeeds(200, nil)
+		if err != nil || len(seeds) != 200 || sp <= 0 {
+			b.Fatalf("seeds %d spread %v err %v", len(seeds), sp, err)
+		}
+	}
+}
+
+// BenchmarkPoolSeedsCold measures the snapshot pool's one-time greedy on
+// the shared lazy-greedy engine, the loop offline PMC also runs: the first
+// SelectSeeds(200) on a 200-snapshot pool of the nethept stand-in at scale
+// 16, freshly rehydrated from its DAGs. The rehydration is untimed.
+func BenchmarkPoolSeedsCold(b *testing.B) {
+	g := benchGraph(b, "nethept", 16, goinfmax.WeightedCascade{})
+	built, err := snapshot.BuildPool(core.NewContext(g, weights.IC, 200, 1), 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dags := built.DAGs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := snapshot.NewPoolFromDAGs(g.N(), dags)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		b.StartTimer()
+		seeds, sp, err := p.SelectSeeds(200, nil)
 		if err != nil || len(seeds) != 200 || sp <= 0 {
 			b.Fatalf("seeds %d spread %v err %v", len(seeds), sp, err)
 		}

@@ -16,6 +16,7 @@ import (
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/diffusion"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/rng"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
@@ -159,33 +160,17 @@ func (CELF) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	e := newEstimator(ctx, r)
 	n := ctx.G.N()
 
-	h := make(gainHeap, 0, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		if err := ctx.CheckNow(); err != nil {
-			return nil, err
-		}
-		h = append(h, gainItem{node: v, gain: e.sigma([]graph.NodeID{v}), round: 0})
+	// The first pass evaluates every node exactly: σ({v}) for round 0.
+	lg, err := graphalgo.NewExactLazyGreedy(n, e.marginal, ctx.CheckNow)
+	if err != nil {
+		return nil, err
 	}
-	heap.Init(&h)
-	ctx.Account(int64(n) * 24) // heap entries
+	// 24 B per node: the heap-entry charge the memory plots and
+	// TestLazySelectorsPinned pin. LazyGreedy's entries are 16 B.
+	ctx.Account(int64(n) * 24)
 
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			e.commit(top.node)
-			heap.Pop(&h)
-			continue
-		}
-		if err := ctx.CheckNow(); err != nil {
-			return nil, err
-		}
-		top.gain = e.marginal(top.node)
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
-	}
-	return seeds, nil
+	seeds, _, err := lg.Extend(ctx.K, e.marginal, e.commit, ctx.CheckNow)
+	return seeds, err
 }
 
 // CELFpp is Goyal et al.'s CELF++ (paper §4.1): alongside the marginal gain
@@ -297,26 +282,6 @@ func (CELFpp) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		heap.Fix(&h, 0)
 	}
 	return seeds, nil
-}
-
-type gainItem struct {
-	node  graph.NodeID
-	gain  float64
-	round int32
-}
-
-type gainHeap []gainItem
-
-func (h gainHeap) Len() int            { return len(h) }
-func (h gainHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 type ppItem struct {

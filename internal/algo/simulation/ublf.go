@@ -1,10 +1,9 @@
 package simulation
 
 import (
-	"container/heap"
-
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
 
@@ -91,29 +90,13 @@ func (u UBLF) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		}
 	}
 
-	// Lazy greedy over the bounds: round == -1 marks "never simulated".
-	h := make(gainHeap, 0, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		h = append(h, gainItem{node: v, gain: ub[v], round: -1})
-	}
-	heap.Init(&h)
+	// Lazy greedy over the bounds: a node is simulated only once its
+	// bound tops the heap.
+	lg := graphalgo.NewLazyGreedy(n, func(v graph.NodeID) float64 { return ub[v] })
+	// 24 B per node: the heap-entry charge the memory plots and
+	// TestLazySelectorsPinned pin. LazyGreedy's entries are 16 B.
 	ctx.Account(int64(n) * 24)
 
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			e.commit(top.node)
-			heap.Pop(&h)
-			continue
-		}
-		if err := ctx.CheckNow(); err != nil {
-			return nil, err
-		}
-		top.gain = e.marginal(top.node)
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
-	}
-	return seeds, nil
+	seeds, _, err := lg.Extend(ctx.K, e.marginal, e.commit, ctx.CheckNow)
+	return seeds, err
 }

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 
@@ -22,7 +21,8 @@ import (
 //     descendant-mass upper bounds as optimistic priors, exact DAG BFS on
 //     demand. The greedy order is computed once, lazily, and extended on
 //     demand: the first query pays the greedy up to its k, and every query
-//     after it for a k the order already holds is a copy.
+//     after it for a k the order already holds is a copy. Offline
+//     PMC.Select is this greedy run once on a freshly built pool.
 //
 // The DAGs are immutable after construction. SpreadOf allocates its own
 // scratch; SelectSeeds extends the shared greedy state under a mutex, so
@@ -31,23 +31,21 @@ type Pool struct {
 	n       int32
 	entries []poolEntry
 	maxComp int32
+	comps   int64 // components over all DAGs
 	bytes   int64
 
 	mu sync.Mutex // guards g
 	g  poolGreedy
 }
 
-// poolGreedy is the lazy greedy's progress between SelectSeeds calls. It
-// is consistent whenever the mutex is free: a poll failure only stops the
+// poolGreedy is the lazy greedy's progress between SelectSeeds calls: the
+// shared engine plus per-DAG covered marks and BFS scratch. It is
+// consistent whenever the mutex is free: a poll failure only stops the
 // greedy between two exact evaluations, so the next call resumes exactly
 // where the last one stopped.
 type poolGreedy struct {
+	lazy    *graphalgo.LazyGreedy
 	covered [][]bool // per DAG: component covered by the picks so far
-	h       lazyHeap
-	seeds   []graph.NodeID // picks in selection order
-	// spread[i] = estimated spread of seeds[:i], the marginal gains summed
-	// in pick order; len(seeds)+1.
-	spread []float64
 	// BFS scratch: epoch-stamped visit marks and the queue.
 	mark  []uint32
 	epoch uint32
@@ -55,8 +53,7 @@ type poolGreedy struct {
 }
 
 // poolEntry is one condensed snapshot: the SCC DAG plus the per-component
-// descendant-mass upper bound. Unlike the offline `condensed` type it
-// carries no covered marks — those live in the pool's greedy state.
+// descendant-mass upper bound. Covered marks live in the greedy state.
 type poolEntry struct {
 	dag   *graphalgo.Condensation
 	bound []float64
@@ -79,15 +76,7 @@ func BuildPool(ctx *core.Context, r int) (*Pool, error) {
 		}
 		sn := diffusion.SampleSnapshot(ctx.G, ctx.Model, ctx.RNG)
 		comp, ncomp := graphalgo.SCC(snapView{sn})
-		dag := graphalgo.Condense(snapView{sn}, comp, ncomp)
-		bytes := int64(len(dag.Comp))*4 + int64(len(dag.To))*4 + int64(len(dag.Off))*8 +
-			int64(ncomp)*12
-		ctx.Account(bytes)
-		p.bytes += bytes
-		p.entries = append(p.entries, poolEntry{dag: dag, bound: descendantBound(dag)})
-		if ncomp > p.maxComp {
-			p.maxComp = ncomp
-		}
+		ctx.Account(p.add(graphalgo.Condense(snapView{sn}, comp, ncomp)))
 	}
 	return p, nil
 }
@@ -107,15 +96,21 @@ func NewPoolFromDAGs(n int32, dags []*graphalgo.Condensation) (*Pool, error) {
 		if err := validateDAG(n, dag); err != nil {
 			return nil, fmt.Errorf("snapshot: DAG %d: %w", i, err)
 		}
-		bytes := int64(len(dag.Comp))*4 + int64(len(dag.To))*4 + int64(len(dag.Off))*8 +
-			int64(dag.NComp)*12
-		p.bytes += bytes
-		p.entries = append(p.entries, poolEntry{dag: dag, bound: descendantBound(dag)})
-		if dag.NComp > p.maxComp {
-			p.maxComp = dag.NComp
-		}
+		p.add(dag)
 	}
 	return p, nil
+}
+
+// add adopts one condensed snapshot and returns its accounted bytes: the
+// DAG arrays plus 12 B per component for its size and bound.
+func (p *Pool) add(dag *graphalgo.Condensation) int64 {
+	bytes := int64(len(dag.Comp))*4 + int64(len(dag.To))*4 + int64(len(dag.Off))*8 +
+		int64(dag.NComp)*12
+	p.bytes += bytes
+	p.comps += int64(dag.NComp)
+	p.maxComp = max(p.maxComp, dag.NComp)
+	p.entries = append(p.entries, poolEntry{dag: dag, bound: descendantBound(dag)})
+	return bytes
 }
 
 // validateDAG checks the structural invariants every traversal assumes:
@@ -231,56 +226,25 @@ func (p *Pool) SelectSeeds(k int, poll func() error) ([]graph.NodeID, float64, e
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.extend(k, poll); err != nil {
-		return nil, 0, err
-	}
 	g := &p.g
-	k = min(k, len(g.seeds))
-	return append([]graph.NodeID(nil), g.seeds[:k]...), g.spread[k], nil
-}
-
-// extend runs the lazy greedy until it holds k picks or every node is
-// picked. The caller holds p.mu.
-func (p *Pool) extend(k int, poll func() error) error {
-	g := &p.g
-	r := len(p.entries)
-	if g.covered == nil {
-		g.covered = make([][]bool, r)
+	if g.lazy == nil {
+		g.covered = make([][]bool, len(p.entries))
 		for i, e := range p.entries {
 			g.covered[i] = make([]bool, e.dag.NComp)
 		}
 		g.mark = make([]uint32, p.maxComp)
 		g.queue = make([]int32, 0, 256)
-		g.h = make(lazyHeap, 0, p.n)
-		for v := graph.NodeID(0); v < p.n; v++ {
+		// Descendant-mass bounds as optimistic priors: bound(v) ≥ exact
+		// reachability ≥ marginal gain.
+		g.lazy = graphalgo.NewLazyGreedy(p.n, func(v graph.NodeID) float64 {
 			ub := 0.0
 			for _, e := range p.entries {
 				ub += e.bound[e.dag.Comp[v]]
 			}
-			g.h = append(g.h, lazyItem{node: v, gain: ub / float64(r), round: -1})
-		}
-		heap.Init(&g.h)
-		g.spread = []float64{0}
+			return ub / float64(len(p.entries))
+		})
 	}
-	for len(g.seeds) < k && len(g.h) > 0 {
-		top := &g.h[0]
-		if int(top.round) == len(g.seeds) {
-			g.seeds = append(g.seeds, top.node)
-			g.spread = append(g.spread, g.spread[len(g.spread)-1]+top.gain)
-			p.commit(top.node)
-			heap.Pop(&g.h)
-			continue
-		}
-		if poll != nil {
-			if err := poll(); err != nil {
-				return err
-			}
-		}
-		top.gain = p.exactGain(top.node)
-		top.round = int32(len(g.seeds))
-		heap.Fix(&g.h, 0)
-	}
-	return nil
+	return g.lazy.Extend(k, p.exactGain, p.commit, poll)
 }
 
 // exactGain is v's marginal spread over the current picks: the uncovered

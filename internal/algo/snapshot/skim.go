@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -64,17 +63,14 @@ func (s SKIM) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	g := ctx.G
 	n := g.N()
 
-	// Live-edge instances, kept for exact residual evaluation.
-	snaps := make([]*diffusion.Snapshot, 0, ell)
-	// Reverse adjacency per instance for sketch construction.
+	// Live-edge instances, kept for exact residual evaluation, and their
+	// reverse adjacency for sketch construction.
+	snaps, err := sampleSnapshots(ctx, ell)
+	if err != nil {
+		return nil, err
+	}
 	revs := make([]*diffusion.Snapshot, 0, ell)
-	for i := 0; i < ell; i++ {
-		if err := ctx.CheckNow(); err != nil {
-			return nil, err
-		}
-		sn := diffusion.SampleSnapshot(g, ctx.Model, ctx.RNG)
-		ctx.Account(sn.MemoryBytes())
-		snaps = append(snaps, sn)
+	for _, sn := range snaps {
 		rev := reverseSnapshot(sn, n)
 		ctx.Account(rev.MemoryBytes())
 		revs = append(revs, rev)
@@ -148,70 +144,9 @@ func (s SKIM) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		return slack * (float64(sketchK) - 1) / sk[0] / float64(ell)
 	}
 
-	// Exact residual machinery (shared shape with StaticGreedy).
-	covered := make([]bool, int64(ell)*int64(n))
-	ctx.Account(int64(len(covered)))
-	var bfsQueue []int32
-	exactGain := func(v graph.NodeID) (float64, error) {
-		ctx.Lookups++
-		tot := int64(0)
-		for i, sn := range snaps {
-			if err := ctx.Check(); err != nil {
-				return 0, err
-			}
-			base := int64(i) * int64(n)
-			epoch++
-			var cnt int32
-			cnt, bfsQueue = graphalgo.BFSReach(snapView{sn}, v, func(x int32) bool {
-				return covered[base+int64(x)]
-			}, mark, epoch, bfsQueue)
-			tot += int64(cnt)
-		}
-		return float64(tot) / float64(ell), nil
-	}
-	commit := func(v graph.NodeID) error {
-		for i, sn := range snaps {
-			if err := ctx.Check(); err != nil {
-				return err
-			}
-			base := int64(i) * int64(n)
-			if covered[base+int64(v)] {
-				continue
-			}
-			epoch++
-			_, bfsQueue = graphalgo.BFSReach(snapView{sn}, v, nil, mark, epoch, bfsQueue)
-			for _, x := range bfsQueue {
-				covered[base+int64(x)] = true
-			}
-		}
-		return nil
-	}
-
-	h := make(lazyHeap, 0, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		h = append(h, lazyItem{node: v, gain: estimate(v), round: -1})
-	}
-	heap.Init(&h)
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			if err := commit(top.node); err != nil {
-				return nil, err
-			}
-			heap.Pop(&h)
-			continue
-		}
-		gv, err := exactGain(top.node)
-		if err != nil {
-			return nil, err
-		}
-		top.gain = gv
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
-	}
-	return seeds, nil
+	res := newResidual(ctx, snaps)
+	seeds, _, err := graphalgo.NewLazyGreedy(n, estimate).Extend(ctx.K, res.gain, res.commit, lookupPoll(ctx))
+	return seeds, err
 }
 
 // reverseSnapshot builds the transpose adjacency of a live-edge instance.

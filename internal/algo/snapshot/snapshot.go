@@ -1,6 +1,7 @@
 // Package snapshot implements the snapshot family of IM techniques (paper
 // §4.3 and Fig. 3): StaticGreedy (Cheng et al., CIKM 2013) and PMC (Ohsaka
-// et al., AAAI 2014).
+// et al., AAAI 2014), plus the SKIM extension and Pool, the serving
+// oracle.
 //
 // Both materialize R live-edge instantiations ("snapshots") of the graph up
 // front with the coin-flip technique and estimate a node's influence as its
@@ -11,12 +12,14 @@
 // re-evaluations with reachability upper bounds, which is why it is the
 // paper's fastest quality technique under generic IC.
 //
-// Per paper Table 5 both support IC only.
+// Every selector runs the shared graphalgo.LazyGreedy and differs only in
+// its gain oracle: StaticGreedy and SKIM evaluate residual reachability on
+// raw snapshots, and PMC is a Pool's greedy run once.
+//
+// Per paper Table 5 StaticGreedy and PMC support IC only.
 package snapshot
 
 import (
-	"container/heap"
-
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/diffusion"
 	"github.com/sigdata/goinfmax/internal/graph"
@@ -47,9 +50,32 @@ func (StaticGreedy) Param(weights.Model) core.Param {
 
 // Select implements core.Algorithm.
 func (StaticGreedy) Select(ctx *core.Context) ([]graph.NodeID, error) {
-	r := int(ctx.Param(250))
-	n := ctx.G.N()
+	snaps, err := sampleSnapshots(ctx, int(ctx.Param(250)))
+	if err != nil {
+		return nil, err
+	}
+	res := newResidual(ctx, snaps)
+	poll := lookupPoll(ctx)
+	lg, err := graphalgo.NewExactLazyGreedy(ctx.G.N(), res.gain, poll)
+	if err != nil {
+		return nil, err
+	}
+	seeds, _, err := lg.Extend(ctx.K, res.gain, res.commit, poll)
+	return seeds, err
+}
 
+// lookupPoll is the offline selectors' poll: one node lookup and one
+// budget check per exact evaluation.
+func lookupPoll(ctx *core.Context) func() error {
+	return func() error {
+		ctx.Lookups++
+		return ctx.CheckNow()
+	}
+}
+
+// sampleSnapshots draws r raw live-edge snapshots, checking the budget
+// before each and accounting its memory.
+func sampleSnapshots(ctx *core.Context, r int) ([]*diffusion.Snapshot, error) {
 	snaps := make([]*diffusion.Snapshot, 0, r)
 	for i := 0; i < r; i++ {
 		if err := ctx.CheckNow(); err != nil {
@@ -59,83 +85,57 @@ func (StaticGreedy) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		ctx.Account(sn.MemoryBytes())
 		snaps = append(snaps, sn)
 	}
+	return snaps, nil
+}
 
-	// covered[i*stride+v] marks node v of snapshot i as already influenced
-	// by the selected seeds.
-	covered := make([]bool, int64(r)*int64(n))
-	ctx.Account(int64(len(covered)))
-	mark := make([]uint32, n)
-	var epoch uint32
-	var queue []int32
+// residual is the exact marginal-gain oracle over raw snapshots that
+// StaticGreedy and SKIM share: gain(v) = Σ_i |newly reachable from v in
+// snapshot i| / R, and commit marks everything v reaches as covered.
+type residual struct {
+	snaps []*diffusion.Snapshot
+	n     int64
+	// covered[i*n+v] marks node v of snapshot i as already influenced by
+	// the selected seeds.
+	covered []bool
+	mark    []uint32
+	epoch   uint32
+	queue   []int32
+}
 
-	// gain(v) = Σ_i |newly reachable from v in snapshot i| / R.
-	gain := func(v graph.NodeID) (float64, error) {
-		ctx.Lookups++
-		total := int64(0)
-		for i, sn := range snaps {
-			if err := ctx.CheckNow(); err != nil {
-				return 0, err
-			}
-			base := int64(i) * int64(n)
-			epoch++
-			var cnt int32
-			cnt, queue = graphalgo.BFSReach(snapView{sn}, v, func(x int32) bool {
-				return covered[base+int64(x)]
-			}, mark, epoch, queue)
-			total += int64(cnt)
-		}
-		return float64(total) / float64(r), nil
+// newResidual allocates the covered marks and accounts them.
+func newResidual(ctx *core.Context, snaps []*diffusion.Snapshot) *residual {
+	n := int64(ctx.G.N())
+	r := &residual{snaps: snaps, n: n, covered: make([]bool, int64(len(snaps))*n), mark: make([]uint32, n)}
+	ctx.Account(int64(len(r.covered)))
+	return r
+}
+
+func (r *residual) gain(v graph.NodeID) float64 {
+	total := int64(0)
+	for i, sn := range r.snaps {
+		covered := r.covered[int64(i)*r.n:]
+		r.epoch++
+		var cnt int32
+		cnt, r.queue = graphalgo.BFSReach(snapView{sn}, v, func(x int32) bool {
+			return covered[x]
+		}, r.mark, r.epoch, r.queue)
+		total += int64(cnt)
 	}
+	return float64(total) / float64(len(r.snaps))
+}
 
-	// commit marks everything v reaches as covered in every snapshot.
-	commit := func(v graph.NodeID) error {
-		for i, sn := range snaps {
-			if err := ctx.Check(); err != nil {
-				return err
-			}
-			base := int64(i) * int64(n)
-			if covered[base+int64(v)] {
-				continue
-			}
-			epoch++
-			_, queue = graphalgo.BFSReach(snapView{sn}, v, nil, mark, epoch, queue)
-			for _, x := range queue {
-				covered[base+int64(x)] = true
-			}
-		}
-		return nil
-	}
-
-	h := make(lazyHeap, 0, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		g, err := gain(v)
-		if err != nil {
-			return nil, err
-		}
-		h = append(h, lazyItem{node: v, gain: g})
-	}
-	heap.Init(&h)
-
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			if err := commit(top.node); err != nil {
-				return nil, err
-			}
-			heap.Pop(&h)
+func (r *residual) commit(v graph.NodeID) {
+	for i, sn := range r.snaps {
+		covered := r.covered[int64(i)*r.n:]
+		if covered[v] {
 			continue
 		}
-		g, err := gain(top.node)
-		if err != nil {
-			return nil, err
+		r.epoch++
+		_, r.queue = graphalgo.BFSReach(snapView{sn}, v, nil, r.mark, r.epoch, r.queue)
+		for _, x := range r.queue {
+			covered[x] = true
 		}
-		top.gain = g
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
 	}
-	return seeds, nil
 }
 
 // snapView adapts a Snapshot to graphalgo.Forward. BFSReach uses int32 ids
@@ -170,140 +170,17 @@ func (PMC) Param(weights.Model) core.Param {
 	return core.Param{Name: "#Snapshots", Spectrum: snapshotSpectrum, Default: 200}
 }
 
-// condensed is one snapshot's SCC condensation plus per-component covered
-// marks and the DP upper bound on reachable mass.
-type condensed struct {
-	dag     *graphalgo.Condensation
-	covered []bool
-	bound   []float64 // descendant-mass upper bound per component
-}
-
-// Select implements core.Algorithm.
+// Select implements core.Algorithm. Offline PMC is the serving pool's
+// greedy run once: build a pool of R condensed snapshots, then take its
+// first k picks, charging one node lookup per exact evaluation.
 func (PMC) Select(ctx *core.Context) ([]graph.NodeID, error) {
-	r := int(ctx.Param(200))
-	n := ctx.G.N()
-
-	snapshots := make([]*condensed, 0, r)
-	maxComp := int32(0)
-	for i := 0; i < r; i++ {
-		if err := ctx.CheckNow(); err != nil {
-			return nil, err
-		}
-		sn := diffusion.SampleSnapshot(ctx.G, ctx.Model, ctx.RNG)
-		comp, ncomp := graphalgo.SCC(snapView{sn})
-		dag := graphalgo.Condense(snapView{sn}, comp, ncomp)
-		// The raw snapshot is discarded after condensation: this is PMC's
-		// memory advantage over StaticGreedy.
-		cs := &condensed{
-			dag:     dag,
-			covered: make([]bool, ncomp),
-			bound:   descendantBound(dag),
-		}
-		ctx.Account(int64(len(dag.Comp))*4 + int64(len(dag.To))*4 + int64(len(dag.Off))*8 +
-			int64(ncomp)*(1+8+4))
-		snapshots = append(snapshots, cs)
-		if ncomp > maxComp {
-			maxComp = ncomp
-		}
+	pool, err := BuildPool(ctx, int(ctx.Param(200)))
+	if err != nil {
+		return nil, err
 	}
-
-	mark := make([]uint32, maxComp)
-	var epoch uint32
-	var queue []int32
-
-	// exactGain BFSes each snapshot DAG from v's component, summing sizes
-	// of uncovered components reached.
-	exactGain := func(v graph.NodeID) (float64, error) {
-		ctx.Lookups++
-		total := int64(0)
-		for _, cs := range snapshots {
-			if err := ctx.Check(); err != nil {
-				return 0, err
-			}
-			c := cs.dag.Comp[v]
-			if cs.covered[c] {
-				continue
-			}
-			epoch++
-			queue = queue[:0]
-			queue = append(queue, c)
-			mark[c] = epoch
-			for head := 0; head < len(queue); head++ {
-				x := queue[head]
-				if !cs.covered[x] {
-					total += int64(cs.dag.Size[x])
-				}
-				for _, y := range cs.dag.OutNeighbors(x) {
-					if mark[y] != epoch {
-						mark[y] = epoch
-						queue = append(queue, y)
-					}
-				}
-			}
-		}
-		return float64(total) / float64(r), nil
-	}
-
-	commit := func(v graph.NodeID) error {
-		for _, cs := range snapshots {
-			if err := ctx.Check(); err != nil {
-				return err
-			}
-			c := cs.dag.Comp[v]
-			if cs.covered[c] {
-				continue
-			}
-			epoch++
-			queue = queue[:0]
-			queue = append(queue, c)
-			mark[c] = epoch
-			for head := 0; head < len(queue); head++ {
-				x := queue[head]
-				cs.covered[x] = true
-				for _, y := range cs.dag.OutNeighbors(x) {
-					if mark[y] != epoch && !cs.covered[y] {
-						mark[y] = epoch
-						queue = append(queue, y)
-					}
-				}
-			}
-		}
-		return nil
-	}
-
-	// Heap seeded with the cheap DP upper bound: valid for lazy greedy
-	// because bound(v) ≥ exact reachability ≥ marginal gain. round = -1
-	// flags "never exactly evaluated".
-	h := make(lazyHeap, 0, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		ub := 0.0
-		for _, cs := range snapshots {
-			ub += cs.bound[cs.dag.Comp[v]]
-		}
-		h = append(h, lazyItem{node: v, gain: ub / float64(r), round: -1})
-	}
-	heap.Init(&h)
-
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			if err := commit(top.node); err != nil {
-				return nil, err
-			}
-			heap.Pop(&h)
-			continue
-		}
-		g, err := exactGain(top.node)
-		if err != nil {
-			return nil, err
-		}
-		top.gain = g
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
-	}
-	return seeds, nil
+	ctx.Account(pool.comps) // the greedy's covered marks, one byte per component
+	seeds, _, err := pool.SelectSeeds(ctx.K, lookupPoll(ctx))
+	return seeds, err
 }
 
 // descendantBound computes, per component, the total member count of the
@@ -322,24 +199,4 @@ func descendantBound(dag *graphalgo.Condensation) []float64 {
 		bound[c] = b
 	}
 	return bound
-}
-
-type lazyItem struct {
-	node  graph.NodeID
-	gain  float64
-	round int32
-}
-
-type lazyHeap []lazyItem
-
-func (h lazyHeap) Len() int            { return len(h) }
-func (h lazyHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h lazyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lazyHeap) Push(x interface{}) { *h = append(*h, x.(lazyItem)) }
-func (h *lazyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

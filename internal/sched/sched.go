@@ -122,9 +122,11 @@ type Options struct {
 	// Progress, when non-nil, is an extra poll-cadence signal channel: the
 	// supervisor polls on every receive, and bodies may send to it (non-
 	// blocking, buffered) at finer granularity than a chunk. Run also
-	// signals it once per completed chunk. A pure wall-clock ticker delivers
-	// almost no ticks on a loaded or race-instrumented runtime, which would
-	// let a failing Poll slip past a short run entirely.
+	// signals it once per completed chunk, and a signal still pending when
+	// the workers finish gets its poll before Run returns. A pure
+	// wall-clock ticker delivers almost no ticks on a loaded or
+	// race-instrumented runtime, which would let a failing Poll slip past
+	// a short run entirely.
 	Progress chan struct{}
 }
 
@@ -253,6 +255,13 @@ supervise:
 	for {
 		select {
 		case <-done:
+			// A run that signalled progress owes one Poll: the workers can
+			// finish before the supervisor reads their last signal.
+			select {
+			case <-e.progress:
+				runPoll()
+			default:
+			}
 			break supervise
 		case <-e.progress:
 			runPoll()

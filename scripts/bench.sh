@@ -31,11 +31,12 @@ cd "$(dirname "$0")/.."
 
 # The ratchet set: executor hot paths (stealing sampler, batched
 # evaluator, arena greedy scan) plus their committed-in-tree baselines,
-# and the serving oracle's /v1/seeds path: the warm prefix read and the
-# one-time greedy extension after a rehydration.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold'
+# the serving oracle's /v1/seeds path (the warm prefix read and the
+# one-time greedy extension after a rehydration), and the shared
+# lazy-greedy engine that offline PMC and the snapshot pool both run.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold'
 # The smoke set: every bench harness the repo ships, one iteration.
-SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle'
+SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds'
 
 CPUS="${BENCH_CPUS:-1,4,8}"
 TIME="${BENCH_TIME:-0.5s}"
