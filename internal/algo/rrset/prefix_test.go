@@ -18,8 +18,8 @@ import (
 const prefixMaxK = 200
 
 // prefixModes are the two build modes of the index, materialized (the
-// scan greedy over the stored sets) and streaming (the lazy heap over the
-// inversion alone), each at two sizes on the 234-node test graph. At
+// sets kept in memory) and streaming (the sets spilled to disk, only the
+// inversion kept), each at two sizes on the 234-node test graph. At
 // θ=3000 every one of the 200 picks has a positive gain; at θ=60 the sets
 // are covered after a few dozen picks, so the order runs on through the
 // zero-gain picks into the padding with never-sampled nodes.

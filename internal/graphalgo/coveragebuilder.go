@@ -140,9 +140,6 @@ func (b *CoverageBuilder) writeSet(set []int32) error {
 // Build called again (IMM grows its collection across rounds). The returned
 // problem shares no mutable state with the builder.
 func (b *CoverageBuilder) Build() (*CoverageProblem, error) {
-	// No forward arena is attached (the sets live only in the spill file),
-	// so greedy max-cover takes the lazy-heap path; its selection rule
-	// matches the materialized scan, keeping seeds identical across modes.
 	cp := &CoverageProblem{
 		numSets: b.numSets,
 		invOff:  make([]int64, b.n+1),

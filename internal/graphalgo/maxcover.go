@@ -9,32 +9,22 @@ import (
 //
 // The RR-set methods select seeds by greedy max-cover over the sampled sets
 // (paper §4.2): iteratively pick the node contained in the most not-yet-
-// covered RR sets. Two implementations share one selection rule (highest
-// gain, lowest node id on ties — a total order, so the argmax is unique):
-//
-//   - Materialized path (the store is attached): a coverage-degradation
-//     scan. Gains live in one compact uint32 array; picking node u walks
-//     u's newly covered sets through the flat SetStore arena in offset
-//     order and decrements the members' gains in place. Selection is a
-//     branch-light linear argmax over the gain array. Sequential scans
-//     over two flat arrays replace the heap's pointer-chasing re-evaluation
-//     of per-node membership lists — the cache-conscious layout.
-//
-//   - Streaming path (no store: the sets live in a CoverageBuilder spill
-//     file): the classic lazy (CELF) heap over cached gains, which only
-//     needs the inversion. Cached gains upper-bound true gains, so when a
-//     freshly recomputed entry reaches the top it is the true argmax under
-//     the same total order — the two paths pick identical seeds, which the
-//     streaming-equivalence tests rely on.
-//
-// Both guarantee the (1−1/e) approximation of monotone submodular
+// covered RR sets. One lazy (CELF) heap runs it for materialized and
+// streaming collections alike, off the per-node inversion alone. Each entry
+// caches a node's gain as of some round; cached gains upper-bound true
+// gains, so an entry that is current for this round and tops the heap is
+// the argmax. The heap orders by gain descending, then node id ascending —
+// a total order, so the argmax is unique and the seeds never depend on how
+// the sets were collected. A round reads only the membership lists of the
+// nodes it re-evaluates, never the members of the sets a pick covers. The
+// greedy guarantees the (1−1/e) approximation of monotone submodular
 // maximization.
 //
-// Neither path looks at k while it picks, so the answer for k is exactly
-// the first k picks of any longer run. The problem therefore keeps the
-// greedy's state between calls and extends one pick order on demand: an
-// online oracle pays the greedy once per index, and every query for a k
-// the order already holds is a copy of its prefix.
+// The greedy never looks at k while it picks, so the answer for k is
+// exactly the first k picks of any longer run. The problem therefore
+// keeps the greedy's state between calls and extends one pick order on
+// demand: an online oracle pays the greedy once per index, and every
+// query for a k the order already holds is a copy of its prefix.
 
 // CoverageProblem is a universe of sets over node elements, consumed from a
 // flat SetStore and inverted into a flat per-node membership index (CSR:
@@ -51,11 +41,6 @@ type CoverageProblem struct {
 	invData []int32 // concatenated set indices, grouped by node
 	covered Bitset  // set -> already covered by the greedy's picks
 	degree  []int64 // node -> number of sets containing it
-	// sets is the forward arena the problem was inverted from, retained
-	// (immutably — the caller must not mutate it while the problem lives)
-	// to drive the degradation-scan greedy. nil in streaming mode, where
-	// the lazy heap runs off the inversion alone.
-	sets *SetStore
 
 	mu sync.Mutex  // guards covered and g
 	g  greedyState // the greedy's pick order and resumable state
@@ -71,12 +56,8 @@ type CoverageProblem struct {
 type greedyState struct {
 	order []int32 // picks in selection order, then the padding
 	cum   []int64 // cum[i] = sets covered by order[:i]; len(order)+1
-	// Scan path: flat gains, picked marks and per-node degrade markers.
-	gain   []uint32
-	picked Bitset
-	mark   []int32
-	live   int // unpicked nodes with degree > 0
-	// Lazy path: the CELF heap; its round is the number of picks so far.
+	// heap holds the unpicked nodes of positive degree; a round is the
+	// number of picks so far. It and cum are nil until the first extension.
 	heap coverHeap
 	// pad is the next node id considered for padding once every node of
 	// positive degree has been picked.
@@ -88,8 +69,7 @@ type greedyState struct {
 // with two counting-sort passes over the arena. Duplicate node entries
 // within one set are ignored: a membership counted twice would inflate the
 // initial gains and break the greedy invariant (cached gains must
-// upper-bound true gains). The problem retains store as its forward arena;
-// the caller must not append to it while the problem is in use.
+// upper-bound true gains). The problem keeps no reference to store.
 func NewCoverageProblem(n int32, sets *SetStore) *CoverageProblem {
 	numSets := sets.Len()
 	cp := &CoverageProblem{
@@ -97,7 +77,6 @@ func NewCoverageProblem(n int32, sets *SetStore) *CoverageProblem {
 		invOff:  make([]int64, n+1),
 		covered: NewBitset(numSets),
 		degree:  make([]int64, n),
-		sets:    sets,
 	}
 	// mark[v] records the last set that counted v, so a duplicate entry of
 	// v within one set is skipped; the +numSets offset distinguishes the
@@ -163,31 +142,18 @@ func (cp *CoverageProblem) GreedyMaxCover(k int) MaxCoverResult {
 // ascending id order.
 //
 // poll (when non-nil) is invoked at the start of every selection round and
-// every pollStride lazy re-evaluations (streaming path); a non-nil return
-// stops the extension with that error. The picks made so far are kept, so
-// the next call resumes. Online serving uses it to honor per-request
-// deadlines. poll runs with the problem's mutex held: it must return
-// promptly and must not call back into the problem. res.Seeds is freshly
-// allocated on every call and shares no memory with the problem's
-// internal state.
+// every pollStride lazy re-evaluations; a non-nil return stops the
+// extension with that error. The picks made so far are kept, so the next
+// call resumes. Online serving uses it to honor per-request deadlines.
+// poll runs with the problem's mutex held: it must return promptly and
+// must not call back into the problem. res.Seeds is freshly allocated on
+// every call and shares no memory with the problem's internal state.
 func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCoverResult, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	k = min(max(k, 0), len(cp.degree))
-	if cp.g.cum == nil {
-		cp.g.cum = []int64{0}
-	}
-	if len(cp.g.order) < k {
-		var err error
-		if cp.sets != nil {
-			err = cp.extendScan(k, poll)
-		} else {
-			err = cp.extendLazy(k, poll)
-		}
-		if err != nil {
-			return MaxCoverResult{}, err
-		}
-		cp.padTo(k)
+	if err := cp.extend(k, poll); err != nil {
+		return MaxCoverResult{}, err
 	}
 	g := &cp.g
 	res := MaxCoverResult{
@@ -210,88 +176,16 @@ func (g *greedyState) pick(v int32, gain int64) {
 	g.cum = append(g.cum, g.cum[len(g.cum)-1]+gain)
 }
 
-// extendScan is the materialized-path greedy: flat uint32 gains degraded in
-// arena offset order. See the package comment for the layout argument; the
-// selection rule (max gain, min node id) matches extendLazy exactly.
-func (cp *CoverageProblem) extendScan(k int, poll func() error) error {
-	g := &cp.g
-	n := len(cp.degree)
-	if g.gain == nil {
-		g.gain = make([]uint32, n) // degree ≤ numSets < 2^31: always fits
-		for v, d := range cp.degree {
-			g.gain[v] = uint32(d)
-			if d > 0 {
-				g.live++
-			}
-		}
-		g.picked = NewBitset(n)
-		// mark[v] = set currently degrading v: duplicate elements within
-		// one stored set decrement v's gain once, mirroring the inversion's
-		// dedup. Each set is degraded at most once (covered flips once), so
-		// markers never need clearing.
-		g.mark = make([]int32, n)
-		for i := range g.mark {
-			g.mark[i] = -1
-		}
-	}
-	for len(g.order) < k && g.live > 0 {
-		if poll != nil {
-			if err := poll(); err != nil {
-				return err
-			}
-		}
-		// Branch-light linear argmax: strict > keeps the lowest node id on
-		// gain ties, the shared selection rule.
-		best, bestGain := -1, uint32(0)
-		for v := 0; v < n; v++ {
-			if g.gain[v] > bestGain && !g.picked.Test(v) && cp.degree[v] > 0 {
-				best, bestGain = v, g.gain[v]
-			}
-		}
-		if best < 0 {
-			// All remaining gains are zero: fill with the lowest-id live
-			// node, as the lazy path's stale-heap drain does.
-			for v := 0; v < n; v++ {
-				if !g.picked.Test(v) && cp.degree[v] > 0 {
-					best = v
-					break
-				}
-			}
-		}
-		g.picked.Set(best)
-		g.live--
-		g.pick(int32(best), int64(bestGain))
-		if bestGain == 0 {
-			continue
-		}
-		for _, si := range cp.memberships(int32(best)) {
-			if cp.covered.Test(int(si)) {
-				continue
-			}
-			cp.covered.Set(int(si))
-			for _, v := range cp.sets.Set(int(si)) {
-				if g.mark[v] == si {
-					continue
-				}
-				g.mark[v] = si
-				g.gain[v]--
-			}
-		}
-	}
-	return nil
-}
-
-// extendLazy is the streaming-path greedy: a lazy (CELF) heap over cached
-// gains, needing only the inversion. The comparator's node tie-break makes
-// a fresh heap top the unique argmax under the shared selection rule, so
-// seeds match extendScan element for element.
-func (cp *CoverageProblem) extendLazy(k int, poll func() error) error {
+// extend picks until the order holds k nodes: the lazy heap over the nodes
+// of positive degree, then the degree-zero nodes in ascending id order.
+func (cp *CoverageProblem) extend(k int, poll func() error) error {
 	g := &cp.g
 	if g.heap == nil {
+		g.cum = []int64{0}
 		g.heap = make(coverHeap, 0, len(cp.degree))
 		for v, d := range cp.degree {
-			if d > 0 {
-				g.heap = append(g.heap, coverItem{node: int32(v), gain: d, round: 0})
+			if d > 0 { // d ≤ numSets, whose set indices are int32
+				g.heap = append(g.heap, coverItem{gain: int32(d), node: int32(v)})
 			}
 		}
 		heap.Init(&g.heap)
@@ -304,14 +198,7 @@ func (cp *CoverageProblem) extendLazy(k int, poll func() error) error {
 			}
 		}
 		round := int32(len(g.order))
-		var pick coverItem
-		for {
-			top := g.heap[0]
-			if top.round == round {
-				pick = top
-				heap.Pop(&g.heap)
-				break
-			}
+		for g.heap[0].round != round {
 			// Recompute the stale gain lazily. Between two re-evaluations
 			// the heap is consistent, so the poll may stop here.
 			reevals++
@@ -320,47 +207,30 @@ func (cp *CoverageProblem) extendLazy(k int, poll func() error) error {
 					return err
 				}
 			}
-			gain := int64(0)
-			for _, si := range cp.memberships(top.node) {
+			gain := int32(0)
+			for _, si := range cp.memberships(g.heap[0].node) {
 				if !cp.covered.Test(int(si)) {
 					gain++
 				}
 			}
-			g.heap[0].gain = gain
-			g.heap[0].round = round
+			g.heap[0].gain, g.heap[0].round = gain, round
 			heap.Fix(&g.heap, 0)
 		}
-		if pick.gain <= 0 {
-			// Everything coverable is covered; the remaining picks are the
-			// best leftover nodes so callers still receive k seeds.
-			g.pick(pick.node, 0)
-			continue
-		}
+		pick := g.heap[0]
+		heap.Pop(&g.heap)
 		for _, si := range cp.memberships(pick.node) {
-			if !cp.covered.Test(int(si)) {
-				cp.covered.Set(int(si))
-			}
+			cp.covered.Set(int(si))
 		}
-		g.pick(pick.node, pick.gain)
+		// A zero gain means everything coverable is covered; the picks run
+		// on through the leftover nodes so callers still receive k seeds.
+		g.pick(pick.node, int64(pick.gain))
 	}
-	return nil
-}
-
-// padTo pads the order to k once the greedy has picked every node of
-// positive degree, with the remaining (degree-zero) nodes in ascending id
-// order, so both greedy paths pad identically when fewer than k nodes
-// appear in any set.
-func (cp *CoverageProblem) padTo(k int) {
-	g := &cp.g
-	if g.live > 0 || len(g.heap) > 0 {
-		return
-	}
-	for len(g.order) < k && int(g.pad) < len(cp.degree) {
+	for ; len(g.order) < k && int(g.pad) < len(cp.degree); g.pad++ {
 		if cp.degree[g.pad] == 0 {
 			g.pick(g.pad, 0)
 		}
-		g.pad++
 	}
+	return nil
 }
 
 // pollStride bounds how many lazy re-evaluations may run between two poll
@@ -409,34 +279,33 @@ func (cp *CoverageProblem) NumSets() int { return cp.numSets }
 
 // MemoryBytes returns the problem's resident footprint (capacity-based,
 // like SetStore.Bytes): the inversion arrays plus the cover marks. The
-// forward arena is not counted — its owner (the collection or index that
-// built the problem) already accounts it. Streaming collections charge
-// this through Context.Account while a greedy runs.
+// sets it was inverted from are not counted — their owner (the collection
+// or index that built the problem) already accounts them — and neither is
+// the greedy's heap. Streaming collections charge this through
+// Context.Account while a greedy runs.
 func (cp *CoverageProblem) MemoryBytes() int64 {
 	return int64(cap(cp.invOff))*8 + int64(cap(cp.invData))*4 +
 		cp.covered.Bytes() + int64(cap(cp.degree))*8
 }
 
+// coverItem is node's count of uncovered sets as of round picks.
 type coverItem struct {
-	node  int32
-	gain  int64
-	round int32 // round at which gain was last computed
+	gain, node, round int32
 }
 
 type coverHeap []coverItem
 
 func (h coverHeap) Len() int { return len(h) }
 func (h coverHeap) Less(i, j int) bool {
-	// Total order: gain descending, node id ascending on ties. The unique
-	// argmax is what keeps the lazy and scan paths seed-identical.
+	// Total order: gain descending, node id ascending on ties.
 	return h[i].gain > h[j].gain || (h[i].gain == h[j].gain && h[i].node < h[j].node)
 }
 func (h coverHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *coverHeap) Push(x interface{}) { *h = append(*h, x.(coverItem)) }
+
+// Pop truncates without returning the entry: extend reads the top before
+// popping, and boxing the entry would allocate once per pick.
 func (h *coverHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	*h = (*h)[:len(*h)-1]
+	return nil
 }

@@ -29,8 +29,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# The ratchet set: executor hot paths (stealing sampler, batched
-# evaluator, arena greedy scan) plus their committed-in-tree baselines,
+# The ratchet set: hot paths (stealing sampler, batched evaluator, greedy
+# max-cover on the flat inversion) plus their committed-in-tree baselines,
 # the serving oracle's /v1/seeds path (the warm prefix read and the
 # one-time greedy extension after a rehydration), and the shared
 # lazy-greedy engine that offline PMC and the snapshot pool both run.
