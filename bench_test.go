@@ -32,7 +32,7 @@ var benchGraphs = map[string]*graph.Graph{}
 
 func benchGraph(b *testing.B, dataset string, scale int64, scheme goinfmax.Scheme) *graph.Graph {
 	b.Helper()
-	key := dataset + scheme.Name()
+	key := fmt.Sprintf("%s/%d/%s", dataset, scale, scheme.Name())
 	if g, ok := benchGraphs[key]; ok {
 		return g
 	}
@@ -461,6 +461,20 @@ func BenchmarkOracleSeedsCold(b *testing.B) {
 		seeds, sp, err := ix.SelectSeeds(200, nil)
 		if err != nil || len(seeds) != 200 || sp <= 0 {
 			b.Fatalf("seeds %d spread %v err %v", len(seeds), sp, err)
+		}
+	}
+}
+
+// BenchmarkPoolBuild measures the snapshot pool's construction, the bulk of
+// an offline PMC cell: sampling 200 live-edge snapshots of the nethept
+// stand-in at scale 16 and condensing each into its SCC DAG.
+func BenchmarkPoolBuild(b *testing.B) {
+	g := benchGraph(b, "nethept", 16, goinfmax.WeightedCascade{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot.BuildPool(core.NewContext(g, weights.IC, 200, 1), 200); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -184,19 +184,15 @@ func (c *collection) cover(k int) ([]graph.NodeID, float64, error) {
 
 // coveredBy returns how many of the collection's sets contain at least one
 // of the given seeds (SSA's stare statistic). The materialized path scans
-// the raw sets; the streaming path counts distinct memberships on the
-// inversion — the two figures are identical by construction.
+// the raw sets; the streaming path scans them as it replays the spill,
+// building no inversion.
 func (c *collection) coveredBy(inSeed map[graph.NodeID]struct{}) (int64, error) {
 	if c.streaming() {
-		cp, err := c.builder.Build()
-		if err != nil {
-			return 0, err
-		}
 		seeds := make([]graph.NodeID, 0, len(inSeed))
 		for s := range inSeed {
 			seeds = append(seeds, s)
 		}
-		return cp.CoverageOf(seeds), nil
+		return c.builder.CountCovered(seeds)
 	}
 	covered := int64(0)
 	for i := 0; i < c.store.Len(); i++ {

@@ -3,9 +3,11 @@ package rrset
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sigdata/goinfmax/internal/core"
+	"github.com/sigdata/goinfmax/internal/datasets"
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/rng"
 	"github.com/sigdata/goinfmax/internal/weights"
@@ -141,5 +143,55 @@ func TestStreamingIndexMatchesMaterialized(t *testing.T) {
 	}
 	if got, want := streamed.SpreadOf(refSeeds), ref.SpreadOf(refSeeds); got != want {
 		t.Fatalf("SpreadOf %v vs %v", got, want)
+	}
+}
+
+// TestStreamingCoveredByCountsDuringReplay: SSA's stare statistic in
+// streaming mode is counted while the spill replays, not on a built
+// inversion. It equals the materialized count, and one call allocates less
+// than the inversion's set-id array alone would take.
+func TestStreamingCoveredByCountsDuringReplay(t *testing.T) {
+	g := weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 16, 1))
+	const theta = 20000
+	mat := newCollection(core.NewContext(g, weights.IC, 10, 42))
+	sctx := core.NewContext(g, weights.IC, 10, 42)
+	sctx.ArenaBytes = 4096
+	sctx.SpillDir = t.TempDir()
+	str := newCollection(sctx)
+	defer str.close()
+	for _, c := range []*collection{mat, str} {
+		if err := c.extend(theta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeds, _, err := mat.cover(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSeed := make(map[graph.NodeID]struct{}, len(seeds))
+	for _, s := range seeds {
+		inSeed[s] = struct{}{}
+	}
+	want, err := mat.coveredBy(inSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The inversion lists every set once per distinct member: 4 B each.
+	invData := int64(0)
+	for i := 0; i < mat.store.Len(); i++ {
+		invData += 4 * int64(len(mat.store.Set(i)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := str.coveredBy(inSeed)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got == 0 {
+		t.Fatalf("streaming count %d, materialized %d", got, want)
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc >= invData {
+		t.Fatalf("streaming coveredBy allocated %d B, not below the inversion's %d B set-id array", alloc, invData)
 	}
 }

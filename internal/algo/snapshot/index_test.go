@@ -113,3 +113,52 @@ func TestPoolBuildHonorsBudget(t *testing.T) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
 }
+
+// TestPoolExactGainMatchesUnpruned: exactGain's BFS stops at covered
+// components, which is exact only while commit keeps every DAG's covered
+// set closed under reachability. After each of the first 50 picks, every
+// node's gain must equal an unpruned BFS that expands covered components
+// too and counts only the uncovered mass it reaches.
+func TestPoolExactGainMatchesUnpruned(t *testing.T) {
+	p, err := BuildPool(core.NewContext(pinGraph(), weights.IC, 1, 42), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := make([]uint32, p.maxComp)
+	var epoch uint32
+	unpruned := func(v graph.NodeID) float64 {
+		total := int64(0)
+		for i, e := range p.entries {
+			covered := p.g.covered[i]
+			c := e.dag.Comp[v]
+			if covered[c] {
+				continue
+			}
+			epoch++
+			mark[c] = epoch
+			for queue := []int32{c}; len(queue) > 0; queue = queue[1:] {
+				x := queue[0]
+				if !covered[x] {
+					total += int64(e.dag.Size[x])
+				}
+				for _, y := range e.dag.OutNeighbors(x) {
+					if mark[y] != epoch {
+						mark[y] = epoch
+						queue = append(queue, y)
+					}
+				}
+			}
+		}
+		return float64(total) / float64(len(p.entries))
+	}
+	for k := 1; k <= 50; k++ {
+		if _, _, err := p.SelectSeeds(k, nil); err != nil {
+			t.Fatal(err)
+		}
+		for v := graph.NodeID(0); v < p.n; v++ {
+			if got, want := p.exactGain(v), unpruned(v); got != want {
+				t.Fatalf("after %d picks: exactGain(%d) = %v, unpruned BFS %v", k, v, got, want)
+			}
+		}
+	}
+}

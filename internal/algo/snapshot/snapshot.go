@@ -90,7 +90,10 @@ func sampleSnapshots(ctx *core.Context, r int) ([]*diffusion.Snapshot, error) {
 
 // residual is the exact marginal-gain oracle over raw snapshots that
 // StaticGreedy and SKIM share: gain(v) = Σ_i |newly reachable from v in
-// snapshot i| / R, and commit marks everything v reaches as covered.
+// snapshot i| / R, and commit marks everything v reaches as covered. The
+// covered set stays closed under reachability, so every uncovered node v
+// reaches is reached through uncovered ones: both BFSes stop at covered
+// nodes.
 type residual struct {
 	snaps []*diffusion.Snapshot
 	n     int64
@@ -113,40 +116,27 @@ func newResidual(ctx *core.Context, snaps []*diffusion.Snapshot) *residual {
 func (r *residual) gain(v graph.NodeID) float64 {
 	total := int64(0)
 	for i, sn := range r.snaps {
-		covered := r.covered[int64(i)*r.n:]
 		r.epoch++
-		var cnt int32
-		cnt, r.queue = graphalgo.BFSReach(snapView{sn}, v, func(x int32) bool {
-			return covered[x]
-		}, r.mark, r.epoch, r.queue)
-		total += int64(cnt)
+		r.queue = graphalgo.BFSReach(sn.Off, sn.To, v, r.coveredIn(i), r.mark, r.epoch, r.queue)
+		total += int64(len(r.queue))
 	}
 	return float64(total) / float64(len(r.snaps))
 }
 
 func (r *residual) commit(v graph.NodeID) {
 	for i, sn := range r.snaps {
-		covered := r.covered[int64(i)*r.n:]
-		if covered[v] {
-			continue
-		}
+		covered := r.coveredIn(i)
 		r.epoch++
-		_, r.queue = graphalgo.BFSReach(snapView{sn}, v, nil, r.mark, r.epoch, r.queue)
+		r.queue = graphalgo.BFSReach(sn.Off, sn.To, v, covered, r.mark, r.epoch, r.queue)
 		for _, x := range r.queue {
 			covered[x] = true
 		}
 	}
 }
 
-// snapView adapts a Snapshot to graphalgo.Forward. BFSReach uses int32 ids
-// directly, matching graph.NodeID.
-type snapView struct{ sn *diffusion.Snapshot }
-
-func (s snapView) N() int32 { return int32(len(s.sn.Off) - 1) }
-func (s snapView) VisitOut(u int32, fn func(v int32)) {
-	for _, v := range s.sn.OutNeighbors(u) {
-		fn(v)
-	}
+// coveredIn returns snapshot i's covered marks.
+func (r *residual) coveredIn(i int) []bool {
+	return r.covered[int64(i)*r.n : int64(i+1)*r.n]
 }
 
 // PMC is the pruned Monte-Carlo method: every snapshot is condensed into

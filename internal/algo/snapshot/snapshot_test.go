@@ -195,8 +195,7 @@ func TestDescendantBoundIsUpperBound(t *testing.T) {
 	// bound is 1+ (1+1) + (1+1) = 5 ≥ 4.
 	g := randomWC(21, 30, 120)
 	sn := diffusion.SampleSnapshot(weights.ICConstant{P: 0.5}.Apply(g).(*graph.Graph), weights.IC, rng.New(3))
-	comp, ncomp := sccOf(sn)
-	dag := condenseOf(sn, comp, ncomp)
+	dag := graphalgo.Condense(sn.Off, sn.To)
 	bound := descendantBound(dag)
 	// Verify per component: bound ≥ exact reachable mass.
 	for c := int32(0); c < dag.NComp; c++ {
@@ -219,13 +218,4 @@ func TestDescendantBoundIsUpperBound(t *testing.T) {
 			t.Fatalf("comp %d: bound %v < exact %d", c, bound[c], exact)
 		}
 	}
-}
-
-// helpers reusing the package-internal snapshot adapters.
-func sccOf(sn *diffusion.Snapshot) ([]int32, int32) {
-	return graphalgo.SCC(snapView{sn})
-}
-
-func condenseOf(sn *diffusion.Snapshot, comp []int32, ncomp int32) *graphalgo.Condensation {
-	return graphalgo.Condense(snapView{sn}, comp, ncomp)
 }

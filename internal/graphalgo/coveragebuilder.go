@@ -154,30 +154,12 @@ func (b *CoverageBuilder) Build() (*CoverageProblem, error) {
 	if b.numSets == 0 {
 		return cp, nil
 	}
-	if err := b.bw.Flush(); err != nil {
-		return nil, fmt.Errorf("graphalgo: coverage spill: %w", err)
-	}
 	cur := make([]int64, b.n)
 	copy(cur, cp.invOff[:b.n])
 	base := b.markEpoch(b.numSets)
-	r := bufio.NewReaderSize(io.NewSectionReader(b.spill, 0, b.spillBytes), 1<<20)
-	var hdr [4]byte
-	elems := make([]byte, 0, 4096)
-	for si := 0; si < b.numSets; si++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("graphalgo: coverage spill replay: %w", err)
-		}
-		sz := int(binary.LittleEndian.Uint32(hdr[:]))
-		if cap(elems) < 4*sz {
-			elems = make([]byte, 0, 4*sz+4096)
-		}
-		elems = elems[:4*sz]
-		if _, err := io.ReadFull(r, elems); err != nil {
-			return nil, fmt.Errorf("graphalgo: coverage spill replay: %w", err)
-		}
+	err := b.replay(func(si int, set []int32) {
 		marker := base + int64(si)
-		for i := 0; i < sz; i++ {
-			v := int32(binary.LittleEndian.Uint32(elems[4*i:]))
+		for _, v := range set {
 			if b.mark[v] == marker {
 				continue
 			}
@@ -185,8 +167,70 @@ func (b *CoverageBuilder) Build() (*CoverageProblem, error) {
 			cp.invData[cur[v]] = int32(si)
 			cur[v]++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cp, nil
+}
+
+// CountCovered returns how many of the sets added so far contain at least
+// one of seeds, counted during one spill replay: the figure
+// CoverageOf(seeds) reports on a Build, without building the inversion.
+func (b *CoverageBuilder) CountCovered(seeds []int32) (int64, error) {
+	marker := b.markEpoch(1)
+	for _, s := range seeds {
+		b.mark[s] = marker
+	}
+	covered := int64(0)
+	err := b.replay(func(_ int, set []int32) {
+		for _, v := range set {
+			if b.mark[v] == marker {
+				covered++
+				return
+			}
+		}
+	})
+	return covered, err
+}
+
+// replayBufBytes sizes the spill replay's read buffer. Every replay
+// allocates it afresh, so it stays well below the inversion a
+// CountCovered call must not cost; larger buffers saved no read time.
+const replayBufBytes = 64 << 10
+
+// replay flushes the spill and calls visit on every set added so far, in
+// insertion order. The set slice is reused between calls.
+func (b *CoverageBuilder) replay(visit func(si int, set []int32)) error {
+	if b.numSets == 0 {
+		return nil
+	}
+	if err := b.bw.Flush(); err != nil {
+		return fmt.Errorf("graphalgo: coverage spill: %w", err)
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(b.spill, 0, b.spillBytes), replayBufBytes)
+	var hdr [4]byte
+	var raw []byte
+	var set []int32
+	for si := 0; si < b.numSets; si++ {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return fmt.Errorf("graphalgo: coverage spill replay: %w", err)
+		}
+		sz := int(binary.LittleEndian.Uint32(hdr[:]))
+		if cap(set) < sz {
+			raw = make([]byte, 4*sz+4096)
+			set = make([]int32, sz+1024)
+		}
+		raw, set = raw[:4*sz], set[:sz]
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return fmt.Errorf("graphalgo: coverage spill replay: %w", err)
+		}
+		for i := range set {
+			set[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		visit(si, set)
+	}
+	return nil
 }
 
 // Reset discards all accumulated sets: degrees zero, spill truncated. The

@@ -2,7 +2,6 @@ package graphalgo
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,19 +9,29 @@ import (
 	"github.com/sigdata/goinfmax/internal/rng"
 )
 
-// adj is a tiny adjacency-list Forward implementation for tests.
+// adj is a tiny adjacency list for tests; csr converts it to the CSR
+// arrays the kernels read.
 type adj [][]int32
 
-func (a adj) N() int32 { return int32(len(a)) }
-func (a adj) VisitOut(u int32, fn func(v int32)) {
-	for _, v := range a[u] {
-		fn(v)
+func (a adj) csr() ([]int64, []int32) {
+	off := make([]int64, len(a)+1)
+	var to []int32
+	for u, ns := range a {
+		to = append(to, ns...)
+		off[u+1] = int64(len(to))
 	}
+	return off, to
+}
+
+// scc returns the component labelling of g and the component count.
+func scc(g adj) ([]int32, int32) {
+	c := Condense(g.csr())
+	return c.Comp, c.NComp
 }
 
 func TestSCCSimpleCycle(t *testing.T) {
 	g := adj{{1}, {2}, {0}, {0}} // 0↔1↔2 cycle, 3→0
-	comp, n := SCC(g)
+	comp, n := scc(g)
 	if n != 2 {
 		t.Fatalf("ncomp=%d want 2", n)
 	}
@@ -36,25 +45,25 @@ func TestSCCSimpleCycle(t *testing.T) {
 
 func TestSCCDag(t *testing.T) {
 	g := adj{{1, 2}, {3}, {3}, {}}
-	comp, n := SCC(g)
+	comp, n := scc(g)
 	if n != 4 {
 		t.Fatalf("DAG must have singleton comps, got %d", n)
 	}
 	// Tarjan property: arcs go from higher comp id to lower.
-	for u := int32(0); u < g.N(); u++ {
-		g.VisitOut(u, func(v int32) {
+	for u, ns := range g {
+		for _, v := range ns {
 			if comp[u] <= comp[v] {
 				t.Fatalf("arc %d→%d violates reverse-topo comp ids (%d ≤ %d)",
 					u, v, comp[u], comp[v])
 			}
-		})
+		}
 	}
 }
 
 func TestSCCSelfContained(t *testing.T) {
 	// Two separate cycles joined by one arc.
 	g := adj{{1}, {0}, {3, 0}, {2}}
-	comp, n := SCC(g)
+	comp, n := scc(g)
 	if n != 2 {
 		t.Fatalf("ncomp=%d want 2 (%v)", n, comp)
 	}
@@ -90,7 +99,7 @@ func TestSCCAgainstBruteForce(t *testing.T) {
 				g[u] = append(g[u], v)
 			}
 		}
-		comp, _ := SCC(g)
+		comp, _ := scc(g)
 		for u := int32(0); u < n; u++ {
 			ru := bruteReach(g, u)
 			for v := int32(0); v < n; v++ {
@@ -110,8 +119,8 @@ func TestSCCAgainstBruteForce(t *testing.T) {
 
 func TestCondense(t *testing.T) {
 	g := adj{{1}, {0, 2}, {3}, {2}} // comps {0,1} and {2,3}, arc between
-	comp, n := SCC(g)
-	c := Condense(g, comp, n)
+	c := Condense(g.csr())
+	comp := c.Comp
 	if c.NComp != 2 {
 		t.Fatalf("ncomp %d", c.NComp)
 	}
@@ -122,32 +131,24 @@ func TestCondense(t *testing.T) {
 	if len(c.To) != 1 || c.To[0] != comp[2] || c.OutNeighbors(comp[0])[0] != comp[2] {
 		t.Fatalf("DAG arcs: %v / off %v", c.To, c.Off)
 	}
-	order := c.TopoOrder()
-	if len(order) != 2 || order[0] != comp[0] {
-		t.Fatalf("topo order %v (comp(0)=%d must come first)", order, comp[0])
-	}
 }
 
 func TestBFSReach(t *testing.T) {
-	g := adj{{1, 2}, {3}, {3}, {}, {}} // node 4 isolated
-	mark := make([]uint32, g.N())
-	cnt, _ := BFSReach(g, 0, nil, mark, 1, nil)
-	if cnt != 4 {
-		t.Fatalf("reach=%d want 4", cnt)
+	off, to := adj{{1, 2}, {3}, {3}, {}, {}}.csr() // node 4 isolated
+	mark := make([]uint32, len(off)-1)
+	if got := BFSReach(off, to, 0, nil, mark, 1, nil); len(got) != 4 {
+		t.Fatalf("reach=%v want 4 nodes", got)
 	}
-	cnt, _ = BFSReach(g, 4, nil, mark, 2, nil)
-	if cnt != 1 {
-		t.Fatalf("isolated reach=%d want 1", cnt)
+	if got := BFSReach(off, to, 4, nil, mark, 2, nil); len(got) != 1 {
+		t.Fatalf("isolated reach=%v want 1 node", got)
 	}
 	// Blocking node 1 cuts one path but 3 is still reachable via 2.
-	cnt, _ = BFSReach(g, 0, func(v int32) bool { return v == 1 }, mark, 3, nil)
-	if cnt != 3 {
-		t.Fatalf("blocked reach=%d want 3", cnt)
+	if got := BFSReach(off, to, 0, []bool{false, true, false, false, false}, mark, 3, nil); len(got) != 3 {
+		t.Fatalf("blocked reach=%v want 3 nodes", got)
 	}
-	// Blocked source yields 0.
-	cnt, _ = BFSReach(g, 0, func(v int32) bool { return v == 0 }, mark, 4, nil)
-	if cnt != 0 {
-		t.Fatalf("blocked-source reach=%d want 0", cnt)
+	// Blocked source yields nothing.
+	if got := BFSReach(off, to, 0, []bool{true, false, false, false, false}, mark, 4, nil); len(got) != 0 {
+		t.Fatalf("blocked-source reach=%v want none", got)
 	}
 }
 
@@ -343,22 +344,5 @@ func TestGreedyMaxCoverFillsK(t *testing.T) {
 			t.Fatalf("duplicate padded seed in %v", res.Seeds)
 		}
 		seen[s] = true
-	}
-}
-
-func TestGraphView(t *testing.T) {
-	b := graph.NewBuilder(3, true)
-	_ = b.AddEdge(0, 1, 1)
-	_ = b.AddEdge(0, 2, 1)
-	g := b.Build()
-	gv := GraphView{G: g}
-	if gv.N() != 3 {
-		t.Fatal("N")
-	}
-	var got []int32
-	gv.VisitOut(0, func(v int32) { got = append(got, v) })
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("VisitOut %v", got)
 	}
 }

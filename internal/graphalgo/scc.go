@@ -5,105 +5,6 @@
 // (the seed-selection step of the RR-set methods, paper §4.2).
 package graphalgo
 
-// Forward is the minimal adjacency view the kernels need: any structure that
-// can enumerate out-neighbors. Both *graph.Graph and *diffusion.Snapshot
-// satisfy it via small adapters.
-type Forward interface {
-	N() int32
-	// VisitOut calls fn for every out-neighbor of u.
-	VisitOut(u int32, fn func(v int32))
-}
-
-// SCC computes strongly connected components with Tarjan's algorithm,
-// implemented iteratively so million-node snapshots do not overflow the
-// goroutine stack. It returns comp (node -> component id) and the number of
-// components. Component IDs are in reverse topological order of the
-// condensation (standard Tarjan property): every arc in the condensation
-// goes from a higher comp id to a lower one.
-func SCC(g Forward) (comp []int32, ncomp int32) {
-	n := g.N()
-	comp = make([]int32, n)
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int32
-	var next int32
-
-	type frame struct {
-		v     int32
-		neigh []int32 // materialized out-neighbors of v
-		i     int     // next neighbor index to process
-	}
-	var callStack []frame
-	neighbors := func(v int32) []int32 {
-		var ns []int32
-		g.VisitOut(v, func(w int32) { ns = append(ns, w) })
-		return ns
-	}
-
-	for root := int32(0); root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		callStack = callStack[:0]
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		callStack = append(callStack, frame{v: root, neigh: neighbors(root)})
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			advanced := false
-			for f.i < len(f.neigh) {
-				w := f.neigh[f.i]
-				f.i++
-				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w, neigh: neighbors(w)})
-					advanced = true
-					break
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// f.v finished.
-			v := f.v
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-		}
-	}
-	return comp, ncomp
-}
-
 // Condensation is the DAG of strongly connected components.
 type Condensation struct {
 	NComp int32
@@ -114,60 +15,125 @@ type Condensation struct {
 	To  []int32
 }
 
-// Condense builds the condensation DAG of g given a component labelling.
-func Condense(g Forward, comp []int32, ncomp int32) *Condensation {
-	n := g.N()
-	c := &Condensation{NComp: ncomp, Comp: comp}
-	c.Size = make([]int32, ncomp)
-	for v := int32(0); v < n; v++ {
-		c.Size[comp[v]]++
+// Condense computes the strongly connected components of the CSR graph
+// (off, to) — node u's out-neighbors are to[off[u]:off[u+1]] — and returns
+// its condensation DAG.
+//
+// Components come from Tarjan's algorithm, run iteratively over
+// (node, arc-cursor) frames so million-node snapshots neither overflow the
+// goroutine stack nor copy adjacency. Component ids are in reverse
+// topological order (the standard Tarjan property): every DAG arc goes from
+// a higher id to a lower one. Each component's out-arcs are deduplicated
+// and listed in order of first occurrence, walking its members in node
+// order and each member's arcs in CSR order.
+func Condense(off []int64, to []int32) *Condensation {
+	n := int32(len(off) - 1)
+	comp := make([]int32, n)
+	index := make([]int32, n)
+	low := make([]int32, n)
+	for i := range index {
+		index[i] = -1
+		comp[i] = -1
 	}
-	type arc struct{ a, b int32 }
-	seen := make(map[arc]struct{})
-	deg := make([]int64, ncomp)
-	var arcs []arc
-	for v := int32(0); v < n; v++ {
-		cv := comp[v]
-		g.VisitOut(v, func(w int32) {
-			cw := comp[w]
-			if cv == cw {
-				return
+	// A node is on Tarjan's stack from its visit until its component is
+	// popped, so "visited and still unlabelled" is the on-stack test.
+	var stack []int32
+	type frame struct {
+		v   int32
+		arc int64 // next arc of v to examine
+	}
+	var frames []frame
+	var next, ncomp int32
+	for root := int32(0); root < n; root++ {
+		if index[root] != -1 {
+			continue
+		}
+		index[root], low[root] = next, next
+		next++
+		stack = append(stack, root)
+		frames = append(frames, frame{v: root, arc: off[root]})
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			v := f.v
+			descended := false
+			for f.arc < off[v+1] {
+				w := to[f.arc]
+				f.arc++
+				if index[w] == -1 {
+					index[w], low[w] = next, next
+					next++
+					stack = append(stack, w)
+					frames = append(frames, frame{v: w, arc: off[w]})
+					descended = true
+					break
+				}
+				if comp[w] == -1 && index[w] < low[v] {
+					low[v] = index[w]
+				}
 			}
-			a := arc{cv, cw}
-			if _, ok := seen[a]; ok {
-				return
+			if descended {
+				continue
 			}
-			seen[a] = struct{}{}
-			arcs = append(arcs, a)
-			deg[cv]++
-		})
+			// v is finished.
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					comp[w] = ncomp
+					if w == v {
+						break
+					}
+				}
+				ncomp++
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				p := frames[len(frames)-1].v
+				low[p] = min(low[p], low[v])
+			}
+		}
 	}
-	c.Off = make([]int64, ncomp+1)
-	for i := int32(0); i < ncomp; i++ {
-		c.Off[i+1] = c.Off[i] + deg[i]
+
+	c := &Condensation{NComp: ncomp, Comp: comp, Size: make([]int32, ncomp), Off: make([]int64, ncomp+1)}
+	for _, k := range comp {
+		c.Size[k]++
 	}
-	c.To = make([]int32, len(arcs))
-	cur := make([]int64, ncomp)
-	copy(cur, c.Off[:ncomp])
-	for _, a := range arcs {
-		c.To[cur[a.a]] = a.b
-		cur[a.a]++
+	// members lists the nodes grouped by component, each group in node
+	// order: group k is members[start[k]:start[k+1]]. start[k] begins at
+	// the group's end and the fill walks nodes backwards. Tarjan's index
+	// and low arrays are free now and hold the members and the arc stamps.
+	start := make([]int32, ncomp+1)
+	start[ncomp] = n
+	for k, end := int32(0), int32(0); k < ncomp; k++ {
+		end += c.Size[k]
+		start[k] = end
 	}
+	members := index
+	for v := n - 1; v >= 0; v-- {
+		k := comp[v]
+		start[k]--
+		members[start[k]] = v
+	}
+	// seen[d] == k+1 marks arc k→d as already emitted.
+	seen := low
+	clear(seen)
+	arcs := make([]int32, 0, len(to))
+	for k := int32(0); k < ncomp; k++ {
+		for _, u := range members[start[k]:start[k+1]] {
+			for _, w := range to[off[u]:off[u+1]] {
+				if d := comp[w]; d != k && seen[d] != k+1 {
+					seen[d] = k + 1
+					arcs = append(arcs, d)
+				}
+			}
+		}
+		c.Off[k+1] = int64(len(arcs))
+	}
+	c.To = append(make([]int32, 0, len(arcs)), arcs...)
 	return c
 }
 
 // OutNeighbors returns component c's out-neighbors in the DAG.
 func (c *Condensation) OutNeighbors(comp int32) []int32 {
 	return c.To[c.Off[comp]:c.Off[comp+1]]
-}
-
-// TopoOrder returns the components in topological order (sources first).
-// Tarjan assigns component ids in reverse topological order, so this is
-// simply ncomp-1 .. 0.
-func (c *Condensation) TopoOrder() []int32 {
-	order := make([]int32, c.NComp)
-	for i := int32(0); i < c.NComp; i++ {
-		order[i] = c.NComp - 1 - i
-	}
-	return order
 }

@@ -6,47 +6,29 @@ import (
 	"github.com/sigdata/goinfmax/internal/graph"
 )
 
-// BFSReach counts the nodes reachable from src (inclusive) over fwd,
-// skipping nodes for which blocked returns true (blocked may be nil). It is
-// the reachability kernel of StaticGreedy's influence estimation. mark/epoch
-// implement reusable visited state; queue is scratch, returned for reuse.
-func BFSReach(fwd Forward, src int32, blocked func(int32) bool, mark []uint32, epoch uint32, queue []int32) (int32, []int32) {
-	if blocked != nil && blocked(src) {
-		return 0, queue
-	}
+// BFSReach returns the nodes reachable from src (inclusive) in the CSR
+// graph (off, to), in BFS order, skipping nodes marked in blocked (which may
+// be nil); a blocked src reaches nothing. It is the reachability kernel of
+// the snapshot family's influence estimation. mark/epoch implement reusable
+// visited state; queue is scratch, reused for the result.
+func BFSReach(off []int64, to []int32, src int32, blocked []bool, mark []uint32, epoch uint32, queue []int32) []int32 {
 	queue = queue[:0]
+	if blocked != nil && blocked[src] {
+		return queue
+	}
 	queue = append(queue, src)
 	mark[src] = epoch
-	count := int32(1)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		fwd.VisitOut(u, func(v int32) {
-			if mark[v] == epoch {
-				return
-			}
-			if blocked != nil && blocked(v) {
-				return
+		for _, v := range to[off[u]:off[u+1]] {
+			if mark[v] == epoch || blocked != nil && blocked[v] {
+				continue
 			}
 			mark[v] = epoch
 			queue = append(queue, v)
-			count++
-		})
+		}
 	}
-	return count, queue
-}
-
-// GraphView adapts graph.G to the Forward interface.
-type GraphView struct{ G graph.G }
-
-// N implements Forward.
-func (gv GraphView) N() int32 { return gv.G.N() }
-
-// VisitOut implements Forward.
-func (gv GraphView) VisitOut(u int32, fn func(v int32)) {
-	to, _ := gv.G.OutNeighbors(u)
-	for _, v := range to {
-		fn(v)
-	}
+	return queue
 }
 
 // MaxProbDijkstra computes maximum-probability influence paths INTO a target

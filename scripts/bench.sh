@@ -32,11 +32,12 @@ cd "$(dirname "$0")/.."
 # The ratchet set: hot paths (stealing sampler, batched evaluator, greedy
 # max-cover on the flat inversion) plus their committed-in-tree baselines,
 # the serving oracle's /v1/seeds path (the warm prefix read and the
-# one-time greedy extension after a rehydration), and the shared
-# lazy-greedy engine that offline PMC and the snapshot pool both run.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold'
+# one-time greedy extension after a rehydration), the shared lazy-greedy
+# engine that offline PMC and the snapshot pool both run, and the pool's
+# construction (snapshot sampling and SCC condensation).
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild'
 # The smoke set: every bench harness the repo ships, one iteration.
-SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds'
+SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild'
 
 CPUS="${BENCH_CPUS:-1,4,8}"
 TIME="${BENCH_TIME:-0.5s}"
