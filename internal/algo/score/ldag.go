@@ -1,8 +1,6 @@
 package score
 
 import (
-	"container/heap"
-
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/graphalgo"
@@ -149,17 +147,20 @@ func (l LDAG) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	baseAP := make([]float64, n)
 
 	// gain(u) = Σ over DAGs containing u of [ap(S∪{u}) − ap(S)].
-	gain := func(u graph.NodeID) (float64, error) {
+	gain := func(u graph.NodeID) float64 {
 		ctx.Lookups++
 		total := 0.0
 		for _, v := range memberOf[u] {
-			if err := ctx.Check(); err != nil {
-				return 0, err
-			}
-			d := dags[v]
-			total += apOf(d, isSeed, u) - baseAP[v]
+			total += apOf(dags[v], isSeed, u) - baseAP[v]
 		}
-		return total, nil
+		return total
+	}
+	// UpdateDataStructures: refresh the cached AP of the affected DAGs.
+	commit := func(u graph.NodeID) {
+		isSeed[u] = true
+		for _, v := range memberOf[u] {
+			baseAP[v] = apOf(dags[v], isSeed, -1)
+		}
 	}
 
 	// Initial gains in Σ|DAG| total time: with no seeds, the gain of u in
@@ -199,34 +200,9 @@ func (l LDAG) Select(ctx *core.Context) ([]graph.NodeID, error) {
 			initGain[d.nodes[li]] += s
 		}
 	}
-	h := make(lazyScoreHeap, 0, n)
-	for u := graph.NodeID(0); u < n; u++ {
-		h = append(h, lazyScoreItem{node: u, gain: initGain[u]})
-	}
-	heap.Init(&h)
-
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			isSeed[top.node] = true
-			seeds = append(seeds, top.node)
-			// UpdateDataStructures: refresh cached AP of affected DAGs.
-			for _, v := range memberOf[top.node] {
-				baseAP[v] = apOf(dags[v], isSeed, -1)
-			}
-			heap.Pop(&h)
-			continue
-		}
-		gv, err := gain(top.node)
-		if err != nil {
-			return nil, err
-		}
-		top.gain = gv
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
-	}
-	return seeds, nil
+	lg, _ := graphalgo.NewExactLazyGreedy(n, func(u graph.NodeID) float64 { return initGain[u] }, nil) // a nil poll cannot fail
+	seeds, _, err := lg.Extend(ctx.K, 1, gain, commit, ctx.Check)
+	return seeds, err
 }
 
 // topoOrderLocal orders local ids so every arc goes from earlier to later.
@@ -270,24 +246,4 @@ func topoOrderLocal(d *localDAG) []int32 {
 		}
 	}
 	return order
-}
-
-type lazyScoreItem struct {
-	node  graph.NodeID
-	gain  float64
-	round int32
-}
-
-type lazyScoreHeap []lazyScoreItem
-
-func (h lazyScoreHeap) Len() int            { return len(h) }
-func (h lazyScoreHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h lazyScoreHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lazyScoreHeap) Push(x interface{}) { *h = append(*h, x.(lazyScoreItem)) }
-func (h *lazyScoreHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

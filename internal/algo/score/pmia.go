@@ -1,8 +1,6 @@
 package score
 
 import (
-	"container/heap"
-
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/graphalgo"
@@ -188,44 +186,21 @@ func (p PMIA) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		refresh(trees[v], +1)
 	}
 
-	// Greedy selection with exact incremental updates: removing a tree's
-	// old contributions, flipping the seed, re-adding the fresh ones.
-	h := make(lazyScoreHeap, 0, n)
-	for u := graph.NodeID(0); u < n; u++ {
-		h = append(h, lazyScoreItem{node: u, gain: incInf[u]})
-	}
-	heap.Init(&h)
-	seeds := make([]graph.NodeID, 0, ctx.K)
-	for len(seeds) < ctx.K && len(h) > 0 {
-		top := &h[0]
-		if isSeed[top.node] {
-			heap.Pop(&h)
-			continue
+	// Greedy selection with exact incremental updates: incInf[u] is u's
+	// current marginal gain, and a pick removes each affected tree's old
+	// contributions, flips the seed and re-adds the fresh ones.
+	commit := func(s graph.NodeID) {
+		ctx.Lookups++
+		for _, v := range memberOf[s] {
+			refresh(trees[v], -1)
 		}
-		if int(top.round) == len(seeds) {
-			s := top.node
-			heap.Pop(&h)
-			ctx.Lookups++
-			// Retract contributions of every affected tree, then flip.
-			for _, v := range memberOf[s] {
-				if err := ctx.Check(); err != nil {
-					return nil, err
-				}
-				refresh(trees[v], -1)
-			}
-			isSeed[s] = true
-			seeds = append(seeds, s)
-			for _, v := range memberOf[s] {
-				if err := ctx.Check(); err != nil {
-					return nil, err
-				}
-				refresh(trees[v], +1)
-			}
-			continue
+		isSeed[s] = true
+		for _, v := range memberOf[s] {
+			refresh(trees[v], +1)
 		}
-		top.gain = incInf[top.node]
-		top.round = int32(len(seeds))
-		heap.Fix(&h, 0)
 	}
-	return seeds, nil
+	gain := func(u graph.NodeID) float64 { return incInf[u] }
+	lg, _ := graphalgo.NewExactLazyGreedy(n, gain, nil) // a nil poll cannot fail
+	seeds, _, err := lg.Extend(ctx.K, 1, gain, commit, ctx.Check)
+	return seeds, err
 }

@@ -1,10 +1,9 @@
 package score
 
 import (
-	"container/heap"
-
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
 
@@ -16,21 +15,23 @@ import (
 //
 // SIMPATH-SPREAD enumerates the paths by backtracking DFS, pruning
 // branches whose weight product falls below η (authors' default 1e-3), and
-// embeds the enumeration in a CELF lazy-greedy with a look-ahead window of
-// size ℓ (default 4). The original evaluation also uses a vertex-cover
-// optimization for the first iteration; like the original it only changes
-// constants, not the enumeration-driven asymptotics that the paper's M5
-// exposes (SIMPATH collapses under LT-uniform weights where path mass
-// decays slowly).
+// embeds the enumeration in a CELF lazy-greedy (graphalgo.LazyGreedy) with
+// a look-ahead window of size ℓ = 4, the authors' default. The original
+// evaluation also uses a vertex-cover optimization for the first
+// iteration; like the original it only changes constants, not the
+// enumeration-driven asymptotics that the paper's M5 exposes (SIMPATH
+// collapses under LT-uniform weights where path mass decays slowly).
 //
 // SIMPATH exposes no external parameter (paper §5.1.1) and supports LT
 // only (paper Table 5).
 type SIMPATH struct {
 	// Eta is the pruning threshold (authors' default 1e-3).
 	Eta float64
-	// LookAhead is the CELF look-ahead window ℓ (authors' default 4).
-	LookAhead int
 }
+
+// simpathLookAhead is the CELF look-ahead window ℓ: a stale top
+// re-evaluates the stale entries among the top ℓ heap slots in one batch.
+const simpathLookAhead = 4
 
 // Name implements core.Algorithm.
 func (SIMPATH) Name() string { return "SIMPATH" }
@@ -140,10 +141,6 @@ func (sp SIMPATH) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	if eta <= 0 {
 		eta = 1e-3
 	}
-	look := sp.LookAhead
-	if look <= 0 {
-		look = 4
-	}
 	g := ctx.G
 	n := g.N()
 	pe := newPathEnumerator(ctx, eta)
@@ -185,55 +182,41 @@ func (sp SIMPATH) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		sigma[u] = total
 	}
 
-	h := make(lazyScoreHeap, 0, n)
-	for u := graph.NodeID(0); u < n; u++ {
-		h = append(h, lazyScoreItem{node: u, gain: sigma[u]})
-	}
-	heap.Init(&h)
-
+	// The greedy over σ(S): a candidate's gain is σ(S+v) − σ(S). An
+	// enumeration aborted by the budget is kept in abort, which the poll
+	// returns, so an aborted run never returns seeds.
 	var seeds []graph.NodeID
 	var sigmaS float64 // σ(S) under the current seed set
-	for len(seeds) < ctx.K && len(h) > 0 {
-		// One heap round is a coarse unit of work: poll the deadline
-		// unconditionally on top of the enumerator's amortized checks.
-		if err := ctx.CheckNow(); err != nil {
-			return nil, err
+	var abort error
+	gain := func(v graph.NodeID) float64 {
+		ctx.Lookups++
+		// Appending past len(seeds) leaves seeds itself unchanged.
+		withV, err := pe.spreadOfSet(append(seeds, v))
+		if err != nil {
+			abort = err
 		}
-		top := &h[0]
-		if int(top.round) == len(seeds) {
-			seeds = append(seeds, top.node)
-			s, err := pe.spreadOfSet(seeds)
-			if err != nil {
-				return nil, err
-			}
-			sigmaS = s
-			heap.Pop(&h)
-			continue
+		return withV - sigmaS
+	}
+	commit := func(v graph.NodeID) {
+		seeds = append(seeds, v)
+		s, err := pe.spreadOfSet(seeds)
+		if err != nil {
+			abort = err
 		}
-		// Look-ahead: re-evaluate the top ℓ candidates in one batch, as the
-		// original does, before re-consulting the heap.
-		batch := look
-		if batch > len(h) {
-			batch = len(h)
+		sigmaS = s
+	}
+	poll := func() error {
+		if abort != nil {
+			return abort
 		}
-		for b := 0; b < batch; b++ {
-			it := &h[b]
-			if int(it.round) == len(seeds) {
-				continue
-			}
-			ctx.Lookups++
-			cand := make([]graph.NodeID, len(seeds)+1)
-			copy(cand, seeds)
-			cand[len(seeds)] = it.node
-			withV, err := pe.spreadOfSet(cand)
-			if err != nil {
-				return nil, err
-			}
-			it.gain = withV - sigmaS
-			it.round = int32(len(seeds))
-		}
-		// Restore heap order after in-place updates.
-		heap.Init(&h)
+		return ctx.CheckNow()
+	}
+	lg, _ := graphalgo.NewExactLazyGreedy(n, func(u graph.NodeID) float64 { return sigma[u] }, nil) // a nil poll cannot fail
+	if _, _, err := lg.Extend(ctx.K, simpathLookAhead, gain, commit, poll); err != nil {
+		return nil, err
+	}
+	if abort != nil {
+		return nil, abort
 	}
 	return seeds, nil
 }

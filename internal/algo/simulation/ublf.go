@@ -97,6 +97,6 @@ func (u UBLF) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	// TestLazySelectorsPinned pin. LazyGreedy's entries are 16 B.
 	ctx.Account(int64(n) * 24)
 
-	seeds, _, err := lg.Extend(ctx.K, e.marginal, e.commit, ctx.CheckNow)
+	seeds, _, err := lg.Extend(ctx.K, 1, e.marginal, e.commit, ctx.CheckNow)
 	return seeds, err
 }

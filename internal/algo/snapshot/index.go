@@ -243,7 +243,7 @@ func (p *Pool) SelectSeeds(k int, poll func() error) ([]graph.NodeID, float64, e
 			return ub / float64(len(p.entries))
 		})
 	}
-	return g.lazy.Extend(k, p.exactGain, p.commit, poll)
+	return g.lazy.Extend(k, 1, p.exactGain, p.commit, poll)
 }
 
 // exactGain is v's marginal spread over the current picks: the uncovered

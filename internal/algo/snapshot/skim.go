@@ -145,7 +145,7 @@ func (s SKIM) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	}
 
 	res := newResidual(ctx, snaps)
-	seeds, _, err := graphalgo.NewLazyGreedy(n, estimate).Extend(ctx.K, res.gain, res.commit, lookupPoll(ctx))
+	seeds, _, err := graphalgo.NewLazyGreedy(n, estimate).Extend(ctx.K, 1, res.gain, res.commit, lookupPoll(ctx))
 	return seeds, err
 }
 

@@ -60,7 +60,7 @@ func (StaticGreedy) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	seeds, _, err := lg.Extend(ctx.K, res.gain, res.commit, poll)
+	seeds, _, err := lg.Extend(ctx.K, 1, res.gain, res.commit, poll)
 	return seeds, err
 }
 

@@ -1,23 +1,20 @@
 package graphalgo
 
-import (
-	"container/heap"
-	"sync"
-)
+import "sync"
 
 // Greedy maximum coverage
 //
 // The RR-set methods select seeds by greedy max-cover over the sampled sets
 // (paper §4.2): iteratively pick the node contained in the most not-yet-
-// covered RR sets. One lazy (CELF) heap runs it for materialized and
-// streaming collections alike, off the per-node inversion alone. Each entry
-// caches a node's gain as of some round; cached gains upper-bound true
-// gains, so an entry that is current for this round and tops the heap is
-// the argmax. The heap orders by gain descending, then node id ascending —
-// a total order, so the argmax is unique and the seeds never depend on how
-// the sets were collected. A round reads only the membership lists of the
-// nodes it re-evaluates, never the members of the sets a pick covers. The
-// greedy guarantees the (1−1/e) approximation of monotone submodular
+// covered RR sets. It runs on LazyGreedy, the CELF loop every greedy
+// technique shares, for materialized and streaming collections alike, off
+// the per-node inversion alone: a node's degree is its exact round-0 gain,
+// a re-evaluation counts its uncovered sets, and a commit marks its sets
+// covered. The engine's total order (gain descending, node id ascending)
+// makes the argmax unique, so the seeds never depend on how the sets were
+// collected. A round reads only the membership lists of the nodes it
+// re-evaluates, never the members of the sets a pick covers. The greedy
+// guarantees the (1−1/e) approximation of monotone submodular
 // maximization.
 //
 // The greedy never looks at k while it picks, so the answer for k is
@@ -32,9 +29,9 @@ import (
 // construction. The flat inversion costs O(1) allocations instead of one
 // growing slice per node.
 //
-// The problem also keeps the greedy's progress (see greedyState), so a
-// longer selection resumes where a shorter one stopped and a shorter one
-// is a copy of a prefix. It is safe for concurrent use.
+// The problem also keeps the greedy's progress, so a longer selection
+// resumes where a shorter one stopped and a shorter one is a copy of a
+// prefix. It is safe for concurrent use.
 type CoverageProblem struct {
 	numSets int
 	invOff  []int64 // node -> start of its membership run in invData
@@ -42,26 +39,17 @@ type CoverageProblem struct {
 	covered Bitset  // set -> already covered by the greedy's picks
 	degree  []int64 // node -> number of sets containing it
 
-	mu sync.Mutex  // guards covered and g
-	g  greedyState // the greedy's pick order and resumable state
-
-	// scratch pools the per-call set bitsets of CoverageOf.
-	scratch sync.Pool
-}
-
-// greedyState is the greedy's progress between calls. Every field is
-// consistent whenever the mutex is free: a poll failure only ever stops
-// the greedy between two picks (or between two lazy re-evaluations), so
-// the next call resumes exactly where the last one stopped.
-type greedyState struct {
-	order []int32 // picks in selection order, then the padding
-	cum   []int64 // cum[i] = sets covered by order[:i]; len(order)+1
-	// heap holds the unpicked nodes of positive degree; a round is the
-	// number of picks so far. It and cum are nil until the first extension.
-	heap coverHeap
+	mu sync.Mutex // guards covered, lazy and pad
+	// lazy is the greedy over the nodes of positive degree; its seeds run
+	// on into the padding. It is nil until the first extension, and a poll
+	// failure leaves it consistent for the next call.
+	lazy *LazyGreedy
 	// pad is the next node id considered for padding once every node of
 	// positive degree has been picked.
 	pad int32
+
+	// scratch pools the per-call set bitsets of CoverageOf.
+	scratch sync.Pool
 }
 
 // NewCoverageProblem inverts the store's sets (each a list of node ids over
@@ -141,10 +129,10 @@ func (cp *CoverageProblem) GreedyMaxCover(k int) MaxCoverResult {
 // appear in any set the order is padded with the remaining nodes in
 // ascending id order.
 //
-// poll (when non-nil) is invoked at the start of every selection round and
-// every pollStride lazy re-evaluations; a non-nil return stops the
-// extension with that error. The picks made so far are kept, so the next
-// call resumes. Online serving uses it to honor per-request deadlines.
+// poll (when non-nil) is invoked before every exact evaluation; a non-nil
+// return stops the extension with that error. The picks made so far are
+// kept, so the next call resumes. Online serving uses it to honor
+// per-request deadlines.
 // poll runs with the problem's mutex held: it must return promptly and
 // must not call back into the problem. res.Seeds is freshly allocated on
 // every call and shares no memory with the problem's internal state.
@@ -155,14 +143,14 @@ func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCove
 	if err := cp.extend(k, poll); err != nil {
 		return MaxCoverResult{}, err
 	}
-	g := &cp.g
+	g := cp.lazy
 	res := MaxCoverResult{
-		Seeds:          append([]int32(nil), g.order[:k]...),
-		NumCovered:     g.cum[k],
+		Seeds:          append([]int32(nil), g.seeds[:k]...),
+		NumCovered:     int64(g.spread[k]),
 		PerSeedCovered: make([]int64, k),
 	}
 	for i := range res.PerSeedCovered {
-		res.PerSeedCovered[i] = g.cum[i+1] - g.cum[i]
+		res.PerSeedCovered[i] = int64(g.spread[i+1] - g.spread[i])
 	}
 	if cp.numSets > 0 {
 		res.Fraction = float64(res.NumCovered) / float64(cp.numSets)
@@ -170,73 +158,51 @@ func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCove
 	return res, nil
 }
 
-// pick appends v with marginal gain to the order.
-func (g *greedyState) pick(v int32, gain int64) {
-	g.order = append(g.order, v)
-	g.cum = append(g.cum, g.cum[len(g.cum)-1]+gain)
-}
-
-// extend picks until the order holds k nodes: the lazy heap over the nodes
-// of positive degree, then the degree-zero nodes in ascending id order.
+// extend picks until the order holds k nodes: the lazy greedy over the
+// nodes of positive degree, then the degree-zero nodes in ascending id
+// order. Counts are exact as float64.
 func (cp *CoverageProblem) extend(k int, poll func() error) error {
-	g := &cp.g
-	if g.heap == nil {
-		g.cum = []int64{0}
-		g.heap = make(coverHeap, 0, len(cp.degree))
+	if cp.lazy == nil {
+		h := make(celfHeap, 0, len(cp.degree))
 		for v, d := range cp.degree {
-			if d > 0 { // d ≤ numSets, whose set indices are int32
-				g.heap = append(g.heap, coverItem{gain: int32(d), node: int32(v)})
+			if d > 0 {
+				h = append(h, lazyEntry{gain: float64(d), node: int32(v)})
 			}
 		}
-		heap.Init(&g.heap)
+		cp.lazy = newLazyGreedy(h)
 	}
-	reevals := 0
-	for len(g.order) < k && len(g.heap) > 0 {
-		if poll != nil {
-			if err := poll(); err != nil {
-				return err
-			}
-		}
-		round := int32(len(g.order))
-		for g.heap[0].round != round {
-			// Recompute the stale gain lazily. Between two re-evaluations
-			// the heap is consistent, so the poll may stop here.
-			reevals++
-			if poll != nil && reevals%pollStride == 0 {
-				if err := poll(); err != nil {
-					return err
-				}
-			}
-			gain := int32(0)
-			for _, si := range cp.memberships(g.heap[0].node) {
-				if !cp.covered.Test(int(si)) {
-					gain++
-				}
-			}
-			g.heap[0].gain, g.heap[0].round = gain, round
-			heap.Fix(&g.heap, 0)
-		}
-		pick := g.heap[0]
-		heap.Pop(&g.heap)
-		for _, si := range cp.memberships(pick.node) {
-			cp.covered.Set(int(si))
-		}
-		// A zero gain means everything coverable is covered; the picks run
-		// on through the leftover nodes so callers still receive k seeds.
-		g.pick(pick.node, int64(pick.gain))
+	g := cp.lazy
+	// A zero gain means everything coverable is covered; the picks run on
+	// through the leftover nodes so callers still receive k seeds.
+	if err := g.extend(k, 1, cp.gain, cp.commit, poll); err != nil {
+		return err
 	}
-	for ; len(g.order) < k && int(g.pad) < len(cp.degree); g.pad++ {
-		if cp.degree[g.pad] == 0 {
-			g.pick(g.pad, 0)
+	for ; len(g.seeds) < k && int(cp.pad) < len(cp.degree); cp.pad++ {
+		if cp.degree[cp.pad] == 0 {
+			g.seeds = append(g.seeds, cp.pad)
+			g.spread = append(g.spread, g.spread[len(g.spread)-1])
 		}
 	}
 	return nil
 }
 
-// pollStride bounds how many lazy re-evaluations may run between two poll
-// calls; each touches one node's membership list, so this keeps the
-// deadline-check latency in the tens of microseconds on real indexes.
-const pollStride = 256
+// gain is v's count of uncovered sets.
+func (cp *CoverageProblem) gain(v int32) float64 {
+	n := 0
+	for _, si := range cp.memberships(v) {
+		if !cp.covered.Test(int(si)) {
+			n++
+		}
+	}
+	return float64(n)
+}
+
+// commit marks v's sets covered.
+func (cp *CoverageProblem) commit(v int32) {
+	for _, si := range cp.memberships(v) {
+		cp.covered.Set(int(si))
+	}
+}
 
 // CoverageOf returns the number of sets covered by the given seed set,
 // without mutating the problem's greedy state. Distinct sets are counted
@@ -286,26 +252,4 @@ func (cp *CoverageProblem) NumSets() int { return cp.numSets }
 func (cp *CoverageProblem) MemoryBytes() int64 {
 	return int64(cap(cp.invOff))*8 + int64(cap(cp.invData))*4 +
 		cp.covered.Bytes() + int64(cap(cp.degree))*8
-}
-
-// coverItem is node's count of uncovered sets as of round picks.
-type coverItem struct {
-	gain, node, round int32
-}
-
-type coverHeap []coverItem
-
-func (h coverHeap) Len() int { return len(h) }
-func (h coverHeap) Less(i, j int) bool {
-	// Total order: gain descending, node id ascending on ties.
-	return h[i].gain > h[j].gain || (h[i].gain == h[j].gain && h[i].node < h[j].node)
-}
-func (h coverHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *coverHeap) Push(x interface{}) { *h = append(*h, x.(coverItem)) }
-
-// Pop truncates without returning the entry: extend reads the top before
-// popping, and boxing the entry would allocate once per pick.
-func (h *coverHeap) Pop() interface{} {
-	*h = (*h)[:len(*h)-1]
-	return nil
 }

@@ -69,7 +69,8 @@ func naiveGreedy(n int32, store *SetStore, k int) (seeds []int32, gains []int64)
 	return seeds, gains
 }
 
-// TestGreedyMatchesNaive checks the greedy against naiveGreedy on random
+// TestGreedyMatchesNaive checks the greedy, LazyGreedy over the
+// inversion plus the degree-zero padding, against naiveGreedy on random
 // instances with empty sets, duplicate members and k past the nodes of
 // positive degree: same seeds in the same order with the same marginal
 // gains.
@@ -120,8 +121,8 @@ func TestCoverageOfMatchesDistinctCount(t *testing.T) {
 	}
 }
 
-// TestGreedyPollAborts checks the greedy honors the cancellation hook at
-// round granularity.
+// TestGreedyPollAborts checks the greedy honors the cancellation hook,
+// which runs before every exact evaluation.
 func TestGreedyPollAborts(t *testing.T) {
 	r := rng.New(7)
 	store := randomStore(r, 200, 4000, 12)
