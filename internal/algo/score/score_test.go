@@ -1,6 +1,7 @@
 package score
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -372,5 +373,40 @@ func TestBudgetDNFScoreFamily(t *testing.T) {
 	})
 	if res.Status != core.DNF {
 		t.Fatalf("SIMPATH status %v want DNF", res.Status)
+	}
+}
+
+// cancelGraph cancels ctx on its at-th OutNeighbors call and counts the
+// calls.
+type cancelGraph struct {
+	*graph.Graph
+	ctx       *core.Context
+	calls, at int
+}
+
+func (g *cancelGraph) OutNeighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
+	if g.calls++; g.calls == g.at {
+		g.ctx.Cancel(nil)
+	}
+	return g.Graph.OutNeighbors(u)
+}
+
+// TestSIMPATHAbortReturnsNoSeeds cancels SIMPATH inside the path
+// enumeration that commits its first pick (about 1,400 calls, so the
+// enumeration's amortized check sees the cancel). That pick needs no lazy
+// re-evaluation, so the greedy never polls after the cancel: the aborted
+// enumeration alone must fail the run.
+func TestSIMPATHAbortReturnsNoSeeds(t *testing.T) {
+	base := randomLT(31, 60, 400)
+	// A k=0 run makes only the first iteration's calls.
+	probe := &cancelGraph{Graph: base}
+	if _, err := (SIMPATH{}).Select(core.NewContext(probe, weights.LT, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	g := &cancelGraph{Graph: base, at: probe.calls + 1}
+	g.ctx = core.NewContext(g, weights.LT, 1, 1)
+	seeds, err := SIMPATH{}.Select(g.ctx)
+	if !errors.Is(err, core.ErrCancelled) || seeds != nil {
+		t.Fatalf("seeds %v, err %v; want no seeds and %v (%d calls, cancel at %d)", seeds, err, core.ErrCancelled, g.calls, g.at)
 	}
 }
