@@ -1,9 +1,12 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"github.com/sigdata/goinfmax/internal/datasets"
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/rng"
 	"github.com/sigdata/goinfmax/internal/weights"
@@ -206,4 +209,74 @@ func randomLTGraph(seed uint64, n int32, m int) *graph.Graph {
 	}
 	g := b.BuildSimple()
 	return weights.LTUniform{}.Apply(g).(*graph.Graph)
+}
+
+// refSampleIC is the branching IC loop SampleSnapshot replaced: append
+// each out-arc whose coin comes up live, one Float64 per arc in CSR order.
+func refSampleIC(g graph.G, r *rng.Source) *Snapshot {
+	n := g.N()
+	off := make([]int64, n+1)
+	var to []graph.NodeID
+	for u := graph.NodeID(0); u < n; u++ {
+		off[u] = int64(len(to))
+		tos, ws := g.OutNeighbors(u)
+		for i, v := range tos {
+			if r.Float64() < ws[i] {
+				to = append(to, v)
+			}
+		}
+	}
+	off[n] = int64(len(to))
+	return &Snapshot{Off: off, To: to}
+}
+
+// TestSampleSnapshotMatchesBranchingLoop: the branch-free IC sampler keeps
+// exactly the arcs of the branching loop and leaves the RNG in the same
+// state, both fresh and through one Snapshot reused across graphs of
+// different sizes, in growing and shrinking order.
+func TestSampleSnapshotMatchesBranchingLoop(t *testing.T) {
+	edges := func(n int32, es ...graph.Edge) *graph.Graph {
+		b := graph.NewBuilder(n, true)
+		for _, e := range es {
+			if err := b.AddEdge(e.From, e.To, e.Weight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	graphs := []*graph.Graph{
+		edges(1), // n=1, no arcs
+		edges(3, graph.Edge{From: 0, To: 1, Weight: 0.5}, graph.Edge{From: 0, To: 1, Weight: 0.5},
+			graph.Edge{From: 0, To: 1, Weight: 0.5}, graph.Edge{From: 1, To: 2, Weight: 0.5}), // parallel arcs
+		edges(4, graph.Edge{From: 0, To: 1, Weight: 0}, graph.Edge{From: 0, To: 2, Weight: 1},
+			graph.Edge{From: 2, To: 0, Weight: 1}, graph.Edge{From: 2, To: 1, Weight: 0}), // weights 0 and 1, node 3 isolated
+		edges(6), // isolated nodes only
+		randomWCGraph(5, 200, 1500),
+		weights.ICConstant{P: 0.5}.Apply(randomWCGraph(6, 50, 400)).(*graph.Graph),
+		weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 16, 1)).(*graph.Graph),
+	}
+	var reused Snapshot
+	check := func(name string, g *graph.Graph, seed uint64) {
+		t.Helper()
+		wantRNG := rng.New(seed)
+		want := refSampleIC(g, wantRNG)
+		gotRNG := rng.New(seed)
+		fresh := SampleSnapshot(g, weights.IC, gotRNG)
+		if !slices.Equal(fresh.Off, want.Off) || !slices.Equal(fresh.To, want.To) || *gotRNG != *wantRNG {
+			t.Fatalf("%s seed %d: fresh snapshot or RNG state differs from the branching loop", name, seed)
+		}
+		gotRNG = rng.New(seed)
+		reused.Sample(g, weights.IC, gotRNG)
+		if !slices.Equal(reused.Off, want.Off) || !slices.Equal(reused.To, want.To) || *gotRNG != *wantRNG {
+			t.Fatalf("%s seed %d: reused snapshot or RNG state differs from the branching loop", name, seed)
+		}
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		for i, g := range graphs {
+			check(fmt.Sprintf("graph %d (n=%d, m=%d)", i, g.N(), g.M()), g, seed)
+		}
+		for i := len(graphs) - 1; i >= 0; i-- {
+			check(fmt.Sprintf("graph %d (n=%d, m=%d) after a larger one", i, graphs[i].N(), graphs[i].M()), graphs[i], seed)
+		}
+	}
 }
