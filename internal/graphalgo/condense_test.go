@@ -179,10 +179,13 @@ func randomCSR(r *rng.Source, n int32, m int) ([]int64, []int32) {
 // TestCondenseMatchesReference: Condense returns a Condensation deeply
 // equal — every field, a non-nil empty To included — to the reference
 // closure Tarjan plus map-deduplicated condensation, on random graphs and
-// on live-edge snapshots of the dataset stand-ins under IC and LT.
+// on live-edge snapshots of the dataset stand-ins under IC and LT. One
+// Condenser, reused across every graph in sequence, must return the same.
 func TestCondenseMatchesReference(t *testing.T) {
+	var reused graphalgo.Condenser
 	same := func(off []int64, to []int32) bool {
-		return reflect.DeepEqual(graphalgo.Condense(off, to), refCondense(refCSR{off, to}))
+		want := refCondense(refCSR{off, to})
+		return reflect.DeepEqual(graphalgo.Condense(off, to), want) && reflect.DeepEqual(reused.Condense(off, to), want)
 	}
 	for _, tc := range []struct {
 		off []int64

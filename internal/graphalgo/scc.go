@@ -5,6 +5,8 @@
 // (the seed-selection step of the RR-set methods, paper §4.2).
 package graphalgo
 
+import "slices"
+
 // Condensation is the DAG of strongly connected components.
 type Condensation struct {
 	NComp int32
@@ -15,9 +17,34 @@ type Condensation struct {
 	To  []int32
 }
 
+// Condenser computes condensations, keeping its Tarjan scratch and its
+// output buffers between calls, so condensing R snapshots in turn
+// allocates only while the buffers grow. It is not safe for concurrent
+// use.
+type Condenser struct {
+	index, low []int32
+	stamp      []int32 // stamp[d] == k+1: arc k→d is already emitted
+	stack      []int32
+	frames     []condenseFrame
+	out        Condensation
+}
+
+// condenseFrame is one node of Tarjan's DFS path.
+type condenseFrame struct {
+	v   int32
+	arc int64 // next arc of v to examine
+}
+
+// Condense condenses (off, to) with a fresh Condenser, so the result is
+// the caller's own.
+func Condense(off []int64, to []int32) *Condensation {
+	return new(Condenser).Condense(off, to)
+}
+
 // Condense computes the strongly connected components of the CSR graph
 // (off, to) — node u's out-neighbors are to[off[u]:off[u+1]] — and returns
-// its condensation DAG.
+// its condensation DAG. The result aliases the condenser's buffers: it is
+// valid until the next call.
 //
 // Components come from Tarjan's algorithm, run iteratively over
 // (node, arc-cursor) frames so million-node snapshots neither overflow the
@@ -26,23 +53,32 @@ type Condensation struct {
 // a higher id to a lower one. Each component's out-arcs are deduplicated
 // and listed in order of first occurrence, walking its members in node
 // order and each member's arcs in CSR order.
-func Condense(off []int64, to []int32) *Condensation {
+//
+// The DAG is built in the same pass. When Tarjan pops a component, every
+// component its members reach is already labelled, so its size and its
+// out-arcs are final then. A node without out-arcs is a component of its
+// own the moment it is reached, and is labelled without a stack or frame
+// push.
+func (cd *Condenser) Condense(off []int64, to []int32) *Condensation {
 	n := int32(len(off) - 1)
-	comp := make([]int32, n)
-	index := make([]int32, n)
-	low := make([]int32, n)
+	index, low, stamp := grow(cd.index, n), grow(cd.low, n), grow(cd.stamp, n)
+	c := &cd.out
+	comp, size, offs := grow(c.Comp, n), grow(c.Size, n), grow(c.Off, n+1)
 	for i := range index {
 		index[i] = -1
 		comp[i] = -1
 	}
+	clear(stamp)
+	// A component has at most one DAG arc per graph arc, so arcs never
+	// grows; the capacity also keeps an arcless To non-nil.
+	if c.To == nil || cap(c.To) < len(to) {
+		c.To = make([]int32, 0, len(to))
+	}
+	arcs := c.To[:0]
+	stack, frames := cd.stack[:0], cd.frames[:0]
+	offs[0] = 0
 	// A node is on Tarjan's stack from its visit until its component is
 	// popped, so "visited and still unlabelled" is the on-stack test.
-	var stack []int32
-	type frame struct {
-		v   int32
-		arc int64 // next arc of v to examine
-	}
-	var frames []frame
 	var next, ncomp int32
 	for root := int32(0); root < n; root++ {
 		if index[root] != -1 {
@@ -50,8 +86,13 @@ func Condense(off []int64, to []int32) *Condensation {
 		}
 		index[root], low[root] = next, next
 		next++
+		if off[root] == off[root+1] {
+			comp[root], size[ncomp], offs[ncomp+1] = ncomp, 1, int64(len(arcs))
+			ncomp++
+			continue
+		}
 		stack = append(stack, root)
-		frames = append(frames, frame{v: root, arc: off[root]})
+		frames = append(frames, condenseFrame{v: root, arc: off[root]})
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
@@ -62,8 +103,13 @@ func Condense(off []int64, to []int32) *Condensation {
 				if index[w] == -1 {
 					index[w], low[w] = next, next
 					next++
+					if off[w] == off[w+1] {
+						comp[w], size[ncomp], offs[ncomp+1] = ncomp, 1, int64(len(arcs))
+						ncomp++
+						continue
+					}
 					stack = append(stack, w)
-					frames = append(frames, frame{v: w, arc: off[w]})
+					frames = append(frames, condenseFrame{v: w, arc: off[w]})
 					descended = true
 					break
 				}
@@ -76,14 +122,27 @@ func Condense(off []int64, to []int32) *Condensation {
 			}
 			// v is finished.
 			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					comp[w] = ncomp
-					if w == v {
-						break
+				top := len(stack) - 1
+				for stack[top] != v {
+					top--
+				}
+				members := stack[top:]
+				stack = stack[:top]
+				for _, u := range members {
+					comp[u] = ncomp
+				}
+				if len(members) > 1 {
+					slices.Sort(members)
+				}
+				for _, u := range members {
+					for _, w := range to[off[u]:off[u+1]] {
+						if d := comp[w]; d != ncomp && stamp[d] != ncomp+1 {
+							stamp[d] = ncomp + 1
+							arcs = append(arcs, d)
+						}
 					}
 				}
+				size[ncomp], offs[ncomp+1] = int32(len(members)), int64(len(arcs))
 				ncomp++
 			}
 			frames = frames[:len(frames)-1]
@@ -93,44 +152,18 @@ func Condense(off []int64, to []int32) *Condensation {
 			}
 		}
 	}
-
-	c := &Condensation{NComp: ncomp, Comp: comp, Size: make([]int32, ncomp), Off: make([]int64, ncomp+1)}
-	for _, k := range comp {
-		c.Size[k]++
-	}
-	// members lists the nodes grouped by component, each group in node
-	// order: group k is members[start[k]:start[k+1]]. start[k] begins at
-	// the group's end and the fill walks nodes backwards. Tarjan's index
-	// and low arrays are free now and hold the members and the arc stamps.
-	start := make([]int32, ncomp+1)
-	start[ncomp] = n
-	for k, end := int32(0), int32(0); k < ncomp; k++ {
-		end += c.Size[k]
-		start[k] = end
-	}
-	members := index
-	for v := n - 1; v >= 0; v-- {
-		k := comp[v]
-		start[k]--
-		members[start[k]] = v
-	}
-	// seen[d] == k+1 marks arc k→d as already emitted.
-	seen := low
-	clear(seen)
-	arcs := make([]int32, 0, len(to))
-	for k := int32(0); k < ncomp; k++ {
-		for _, u := range members[start[k]:start[k+1]] {
-			for _, w := range to[off[u]:off[u+1]] {
-				if d := comp[w]; d != k && seen[d] != k+1 {
-					seen[d] = k + 1
-					arcs = append(arcs, d)
-				}
-			}
-		}
-		c.Off[k+1] = int64(len(arcs))
-	}
-	c.To = append(make([]int32, 0, len(arcs)), arcs...)
+	cd.index, cd.low, cd.stamp, cd.stack, cd.frames = index, low, stamp, stack, frames
+	*c = Condensation{NComp: ncomp, Comp: comp, Size: size[:ncomp], Off: offs[:ncomp+1], To: arcs}
 	return c
+}
+
+// grow returns s resliced to length n, reallocated if its capacity is
+// short. The contents are unspecified.
+func grow[T int32 | int64](s []T, n int32) []T {
+	if cap(s) < int(n) {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // OutNeighbors returns component c's out-neighbors in the DAG.
