@@ -39,9 +39,9 @@ func TestSelectorsPinned(t *testing.T) {
 		{StaticGreedy{}, 1, 0xad2aca7747985764, 937, 487476},
 		{StaticGreedy{}, 10, 0xb4c95f6162c7a0e3, 1010, 487476},
 		{StaticGreedy{}, 50, 0x366b1dee87c11f71, 1732, 487476},
-		{PMC{}, 1, 0xad2aca7747985764, 1, 974224},
-		{PMC{}, 10, 0xb4c95f6162c7a0e3, 75, 974224},
-		{PMC{}, 50, 0x366b1dee87c11f71, 801, 974224},
+		{PMC{}, 1, 0xad2aca7747985764, 1, 549328},
+		{PMC{}, 10, 0xb4c95f6162c7a0e3, 75, 549328},
+		{PMC{}, 50, 0x366b1dee87c11f71, 801, 549328},
 		{SKIM{}, 1, 0xad2aca7747985764, 1, 1717056},
 		{SKIM{}, 10, 0xb4c95f6162c7a0e3, 69, 1717056},
 		{SKIM{}, 50, 0x366b1dee87c11f71, 496, 1717056},
@@ -61,8 +61,9 @@ func TestSelectorsPinned(t *testing.T) {
 
 // TestPMCIsPoolGreedy: offline PMC is the serving pool's greedy run once.
 // At the same seed, PMC's seeds equal a fresh pool's first k picks, its
-// Lookups equal the pool's poll calls, and it charges the pool's DAG bytes
-// plus one byte per component for the greedy's covered marks.
+// Lookups equal the pool's poll calls, and it charges the pool's bytes
+// plus one bit per component, in 64-bit words, for the greedy's covered
+// marks.
 func TestPMCIsPoolGreedy(t *testing.T) {
 	g := pinGraph()
 	const r = 40
@@ -95,9 +96,9 @@ func TestPMCIsPoolGreedy(t *testing.T) {
 			if ctx.Lookups != polls {
 				t.Errorf("seed %d k=%d: PMC Lookups %d, pool polls %d", seed, k, ctx.Lookups, polls)
 			}
-			if ctx.MemUsed() != pctx.MemUsed()+comps {
-				t.Errorf("seed %d k=%d: PMC accounted %d, pool %d + %d covered marks",
-					seed, k, ctx.MemUsed(), pctx.MemUsed(), comps)
+			if covered := (comps + 63) / 64 * 8; ctx.MemUsed() != pctx.MemUsed()+covered {
+				t.Errorf("seed %d k=%d: PMC accounted %d, pool %d + %d bytes of covered bits",
+					seed, k, ctx.MemUsed(), pctx.MemUsed(), covered)
 			}
 		}
 	}

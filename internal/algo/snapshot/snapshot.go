@@ -20,6 +20,8 @@
 package snapshot
 
 import (
+	"slices"
+
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/diffusion"
 	"github.com/sigdata/goinfmax/internal/graph"
@@ -168,7 +170,7 @@ func (PMC) Select(ctx *core.Context) ([]graph.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.Account(pool.comps) // the greedy's covered marks, one byte per component
+	ctx.Account(int64(pool.comps+63) / 64 * 8) // the greedy's covered bits
 	seeds, _, err := pool.SelectSeeds(ctx.K, lookupPoll(ctx))
 	return seeds, err
 }
@@ -176,9 +178,10 @@ func (PMC) Select(ctx *core.Context) ([]graph.NodeID, error) {
 // descendantBound computes, per component, the total member count of the
 // component and all its descendants IGNORING sharing — an upper bound on
 // true reachable mass, computable in linear time by a reverse-topological
-// sweep (Tarjan ids are already reverse-topological).
-func descendantBound(dag *graphalgo.Condensation) []float64 {
-	bound := make([]float64, dag.NComp)
+// sweep (Tarjan ids are already reverse-topological). It reuses bound's
+// storage when it is large enough.
+func descendantBound(dag *graphalgo.Condensation, bound []float64) []float64 {
+	bound = slices.Grow(bound[:0], int(dag.NComp))[:dag.NComp]
 	// Tarjan: arcs go from higher comp id to lower, so process ids in
 	// increasing order to have children done before parents.
 	for c := int32(0); c < dag.NComp; c++ {

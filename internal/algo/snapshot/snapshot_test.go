@@ -196,7 +196,7 @@ func TestDescendantBoundIsUpperBound(t *testing.T) {
 	g := randomWC(21, 30, 120)
 	sn := diffusion.SampleSnapshot(weights.ICConstant{P: 0.5}.Apply(g).(*graph.Graph), weights.IC, rng.New(3))
 	dag := graphalgo.Condense(sn.Off, sn.To)
-	bound := descendantBound(dag)
+	bound := descendantBound(dag, nil)
 	// Verify per component: bound ≥ exact reachable mass.
 	for c := int32(0); c < dag.NComp; c++ {
 		exact := int64(0)
