@@ -16,6 +16,7 @@ import (
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/datasets"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/persist"
 	"github.com/sigdata/goinfmax/internal/persist/failpoint"
 	"github.com/sigdata/goinfmax/internal/weights"
@@ -215,47 +216,62 @@ func TestLoadMissingFile(t *testing.T) {
 // is the caller's job (log + rebuild); here the contract is that each
 // corruption is detected, classified, and never partially decoded.
 func TestCorruptedSnapshotMatrix(t *testing.T) {
-	s, h := buildRRSnapshot(t)
+	rr, rrHeader := buildRRSnapshot(t)
+	tiny, tinyHeader := buildTinyPoolSnapshot(t)
 
 	cases := []struct {
 		name   string
 		mutate func(t *testing.T, path string)
 		want   persist.Reason
+		pool   bool // mutate the tiny pool snapshot instead of the RR one
 	}{
 		{"truncated-below-envelope", func(t *testing.T, path string) {
 			truncateTo(t, path, 7)
-		}, persist.ReasonTruncated},
+		}, persist.ReasonTruncated, false},
 		{"truncated-mid-payload", func(t *testing.T, path string) {
 			fi, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			truncateTo(t, path, fi.Size()/2)
-		}, persist.ReasonChecksum},
+		}, persist.ReasonChecksum, false},
 		{"flipped-checksum-byte", func(t *testing.T, path string) {
 			flipByteAt(t, path, -1) // last byte: the CRC trailer itself
-		}, persist.ReasonChecksum},
+		}, persist.ReasonChecksum, false},
 		{"flipped-payload-byte", func(t *testing.T, path string) {
 			flipByteAt(t, path, 64)
-		}, persist.ReasonChecksum},
+		}, persist.ReasonChecksum, false},
 		{"bad-magic", func(t *testing.T, path string) {
 			flipByteAt(t, path, 0)
-		}, persist.ReasonBadMagic},
+		}, persist.ReasonBadMagic, false},
 		{"stale-version", func(t *testing.T, path string) {
 			// Rewrite the version field to a future format and fix the CRC
 			// so version-mismatch (not checksum) is what fires.
 			data := readAll(t, path)
 			binary.LittleEndian.PutUint32(data[8:], 99)
 			rewriteWithChecksum(t, path, data[:len(data)-4])
-		}, persist.ReasonVersion},
+		}, persist.ReasonVersion, false},
 		{"trailing-garbage", func(t *testing.T, path string) {
 			data := readAll(t, path)
 			body := append(data[:len(data)-4], 0xDE, 0xAD, 0xBE, 0xEF)
 			rewriteWithChecksum(t, path, body)
-		}, persist.ReasonCorrupt},
+		}, persist.ReasonCorrupt, false},
+		{"forward-dag-arc", func(t *testing.T, path string) {
+			// Retarget the DAG's only arc, 1→0, to 1→2: still acyclic and
+			// in range, but against Tarjan's order, so the priors built
+			// from it would not be upper bounds.
+			data := readAll(t, path)
+			body := data[:len(data)-4]
+			binary.LittleEndian.PutUint32(body[len(body)-4:], 2)
+			rewriteWithChecksum(t, path, body)
+		}, persist.ReasonCorrupt, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			s, h := rr, rrHeader
+			if tc.pool {
+				s, h = tiny, tinyHeader
+			}
 			path := filepath.Join(t.TempDir(), "oracle.snap")
 			mustSave(t, path, s)
 			tc.mutate(t, path)
@@ -263,6 +279,23 @@ func TestCorruptedSnapshotMatrix(t *testing.T) {
 			wantReason(t, err, tc.want)
 		})
 	}
+}
+
+// buildTinyPoolSnapshot builds a one-DAG pool over three nodes: node 0
+// reaches node 1, and node 2 is isolated. Tarjan labels them 1, 0 and 2,
+// so the DAG's only arc is 1→0, the last four bytes of the payload.
+func buildTinyPoolSnapshot(t *testing.T) (*persist.Snapshot, persist.Header) {
+	t.Helper()
+	dag := graphalgo.Condense([]int64{0, 1, 1, 1}, []int32{1})
+	if want := []int32{0}; !reflect.DeepEqual(dag.To, want) {
+		t.Fatalf("tiny DAG arcs %v, want %v", dag.To, want)
+	}
+	pool, err := snapshot.NewPoolFromDAGs(3, []*graphalgo.Condensation{dag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := persist.Header{Backend: "snapshot", Fingerprint: 1, BuildSeed: 1, IndexSize: 1, Nodes: 3}
+	return &persist.Snapshot{Header: h, Pool: pool}, h
 }
 
 // TestHeaderMismatches covers the compatibility-key rungs: a structurally
