@@ -32,13 +32,15 @@ cd "$(dirname "$0")/.."
 # The ratchet set: hot paths (stealing sampler, batched evaluator, greedy
 # max-cover on the flat inversion) plus their committed-in-tree baselines,
 # the serving oracle's /v1/seeds path (the warm prefix read and the
-# one-time greedy extension after a rehydration), the shared lazy-greedy
-# engine that offline PMC and the snapshot pool both run, the pool's
-# construction (snapshot sampling and SCC condensation), and the score
-# family's greedies on that engine (LDAG, SIMPATH and PMIA), which no
-# end-to-end workload runs. A top-level alternative may name a
-# sub-benchmark: BenchmarkExt_Exclusions/PMIA runs that row alone.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
+# one-time greedy extension after a rehydration), its /v1/spread point
+# query on both backends, which no end-to-end workload times on the
+# snapshot pool, the shared lazy-greedy engine that offline PMC and the
+# snapshot pool both run, the pool's construction (snapshot sampling and
+# SCC condensation), and the score family's greedies on that engine
+# (LDAG, SIMPATH and PMIA), which no end-to-end workload runs. A
+# top-level alternative may name a sub-benchmark:
+# BenchmarkExt_Exclusions/PMIA runs that row alone.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
 # The smoke set: every bench harness the repo ships, one iteration.
 SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
 
