@@ -32,8 +32,9 @@ import (
 type RRSampler struct {
 	g     graph.G
 	model weights.Model
-	mark  graphalgo.Bitset
-	queue []graph.NodeID
+	// mark holds the members of the sample being drawn. It is all zero
+	// between samples: each Sample clears the bits it set before returning.
+	mark graphalgo.Bitset
 
 	// StealChunk overrides the work-stealing claim granularity of
 	// SampleBatch/SampleStream in samples (0 = automatic, sized from the
@@ -54,58 +55,77 @@ func NewRRSampler(g graph.G, model weights.Model) *RRSampler {
 		g:     g,
 		model: model,
 		mark:  graphalgo.NewBitset(int(g.N())),
-		queue: make([]graph.NodeID, 0, 256),
 	}
 }
 
 // Sample draws one RR set rooted at root, appending its members (root
 // included) to out and returning the extended slice.
+//
+// The appended tail is the reverse BFS's own queue: members are visited
+// in the order they join, and the membership marks — a word-packed
+// bitset, so the hot test touches 32× fewer cache lines than epoch
+// stamps — are cleared by walking the tail once more at the end, which
+// costs O(|R|), not O(n).
 func (s *RRSampler) Sample(root graph.NodeID, r *rng.Source, out []graph.NodeID) []graph.NodeID {
-	// Membership marks are a word-packed bitset — the hot reverse-BFS test
-	// touches 32× fewer cache lines than the uint32 epoch stamps it
-	// replaced — cleared incrementally by replaying the previous sample's
-	// members (tracked in queue), which costs O(|R|), not O(n).
-	for _, v := range s.queue {
-		s.mark.Clear(int(v))
-	}
-	s.queue = append(s.queue[:0], root)
+	start := len(out)
 	s.mark.Set(int(root))
 	out = append(out, root)
 	switch s.model {
 	case weights.IC:
-		// Reverse BFS flipping a coin per in-arc.
-		for head := 0; head < len(s.queue); head++ {
-			v := s.queue[head]
-			from, w := s.g.InNeighbors(v)
-			s.ArcsTraversed += int64(len(from))
-			for i, u := range from {
-				if s.mark.Test(int(u)) {
-					continue
-				}
-				if r.Float64() < w[i] {
-					s.mark.Set(int(u))
-					s.queue = append(s.queue, u)
-					out = append(out, u)
-				}
-			}
-		}
+		out = s.sampleIC(r, out, start)
 	case weights.LT:
-		// Each visited node picks at most one incoming live arc; the RR set
-		// is a reverse path until no pick or a revisit. The path nodes join
-		// queue so the next Sample's incremental clear can find them.
-		v := root
-		for {
-			u, ok := s.pickOneIn(v, r)
-			if !ok || s.mark.Test(int(u)) {
-				break
-			}
-			s.mark.Set(int(u))
-			s.queue = append(s.queue, u)
-			out = append(out, u)
-			v = u
-		}
+		out = s.sampleLT(r, out)
+	}
+	for _, v := range out[start:] {
+		s.mark.Clear(int(v))
 	}
 	return out
+}
+
+// sampleIC runs the IC reverse BFS from out[start], flipping one coin per
+// unmarked in-arc in stored order. The RNG state, the mark words and the
+// current node's in-arcs live in locals for the whole walk, so the coin
+// loop reloads nothing through s or r; each node's arcs are consumed
+// before the next InNeighbors call, as the compact backend's reused
+// decode buffers require.
+func (s *RRSampler) sampleIC(r *rng.Source, out []graph.NodeID, start int) []graph.NodeID {
+	g, mark, st := s.g, s.mark, *r
+	arcs := int64(0)
+	for head := start; head < len(out); head++ {
+		from, w := g.InNeighbors(out[head])
+		w = w[:len(from)] // one bounds check per node, not per arc
+		arcs += int64(len(from))
+		for i, u := range from {
+			if mark.Test(int(u)) {
+				continue
+			}
+			var coin float64
+			coin, st = st.NextFloat64()
+			if coin < w[i] {
+				mark.Set(int(u))
+				out = append(out, u)
+			}
+		}
+	}
+	*r = st
+	s.ArcsTraversed += arcs
+	return out
+}
+
+// sampleLT walks the LT reverse path from the root, out's last element:
+// each visited node picks at most one incoming live arc, and the walk
+// ends at no pick or a revisit.
+func (s *RRSampler) sampleLT(r *rng.Source, out []graph.NodeID) []graph.NodeID {
+	v := out[len(out)-1]
+	for {
+		u, ok := s.pickOneIn(v, r)
+		if !ok || s.mark.Test(int(u)) {
+			return out
+		}
+		s.mark.Set(int(u))
+		out = append(out, u)
+		v = u
+	}
 }
 
 // SampleUniformRoot draws an RR set rooted at a uniformly random node.
