@@ -532,6 +532,26 @@ func BenchmarkRRSampleBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkRRSelectIMM times one imm-sweep cell's selection end to end:
+// IMM at k = 200 and ε = 0.1 with serial sampling on the dblp stand-in at
+// scale 32 under WC. It covers every phase's RR sampling into the arena,
+// the phases' inversions and their greedy covers. The seed is fixed, so
+// every iteration does the same work.
+func BenchmarkRRSelectIMM(b *testing.B) {
+	g := benchGraph(b, "dblp", 32, goinfmax.WeightedCascade{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := core.NewContext(g, weights.IC, 200, 42)
+		ctx.ParamValue = 0.1
+		ctx.Workers = 1
+		seeds, err := rrset.IMM{}.Select(ctx)
+		if err != nil || len(seeds) != 200 {
+			b.Fatalf("seeds %d err %v", len(seeds), err)
+		}
+	}
+}
+
 // BenchmarkGreedyMaxCoverFlat contrasts the flat-arena coverage problem
 // (counting-sort inversion over the SetStore) with the slice-of-slices
 // layout it replaced, on identical RR sets. The baseline below replicates

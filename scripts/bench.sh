@@ -37,10 +37,11 @@ cd "$(dirname "$0")/.."
 # snapshot pool, the shared lazy-greedy engine that offline PMC and the
 # snapshot pool both run, the pool's construction (snapshot sampling and
 # SCC condensation), and the score family's greedies on that engine
-# (LDAG, SIMPATH and PMIA), which no end-to-end workload runs. A
-# top-level alternative may name a sub-benchmark:
-# BenchmarkExt_Exclusions/PMIA runs that row alone.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
+# (LDAG, SIMPATH and PMIA), which no end-to-end workload runs, and one
+# whole RR-family selection (an imm-sweep cell: every phase's sampling,
+# inversion and greedy cover). A top-level alternative may name a
+# sub-benchmark: BenchmarkExt_Exclusions/PMIA runs that row alone.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
 # The smoke set: every bench harness the repo ships, one iteration.
 SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
 
