@@ -85,14 +85,10 @@ func (SSA) Select(ctx *core.Context) ([]graph.NodeID, error) {
 		// Stare: grow R' until the seeds cover ≥ λ of its samples (or R'
 		// reaches |R|, whichever first — coverage that low fails the check
 		// anyway).
-		inSeed := make(map[graph.NodeID]struct{}, len(seeds))
-		for _, s := range seeds {
-			inSeed[s] = struct{}{}
-		}
 		if err := ver.extend(opt.size()); err != nil {
 			return nil, err
 		}
-		covered, err := ver.coveredBy(inSeed)
+		covered, err := ver.coveredBy(seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +96,7 @@ func (SSA) Select(ctx *core.Context) ([]graph.NodeID, error) {
 			if err := ver.extend(ver.size() * 2); err != nil {
 				return nil, err
 			}
-			if covered, err = ver.coveredBy(inSeed); err != nil {
+			if covered, err = ver.coveredBy(seeds); err != nil {
 				return nil, err
 			}
 		}

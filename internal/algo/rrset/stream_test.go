@@ -168,13 +168,12 @@ func TestStreamingCoveredByCountsDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inSeed := make(map[graph.NodeID]struct{}, len(seeds))
-	for _, s := range seeds {
-		inSeed[s] = struct{}{}
-	}
-	want, err := mat.coveredBy(inSeed)
+	want, err := mat.coveredBy(seeds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inv := mat.cp.CoverageOf(seeds); want != inv {
+		t.Fatalf("materialized count %d, inversion's %d", want, inv)
 	}
 	// The inversion lists every set once per distinct member: 4 B each.
 	invData := int64(0)
@@ -183,7 +182,7 @@ func TestStreamingCoveredByCountsDuringReplay(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := str.coveredBy(inSeed)
+	got, err := str.coveredBy(seeds)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
