@@ -11,8 +11,8 @@ import (
 //
 // graphalgo.SetStore hands out zero-copy views of its flat arena:
 // Set(i) returns a sub-slice of the backing array, Raw() returns the
-// arena itself. Append, AppendStore, AppendRange, and Grow may realloc that
-// array, and Reset retires it logically; a view captured before any of
+// arena itself. Append, AppendWith, AppendStore, AppendRange, and Grow may
+// realloc that array, and Reset retires it logically; a view captured before any of
 // those calls silently points at stale (or recycled) memory afterwards
 // — no panic, no race-detector report, just wrong coverage counts.
 // This is the sharpest foot-gun of the PR 4 substrate, and it is
@@ -36,7 +36,7 @@ import (
 
 // Mutating and view-returning SetStore methods.
 var (
-	setStoreMutators = map[string]bool{"Append": true, "AppendStore": true, "AppendRange": true, "Grow": true, "Reset": true}
+	setStoreMutators = map[string]bool{"Append": true, "AppendWith": true, "AppendStore": true, "AppendRange": true, "Grow": true, "Reset": true}
 	setStoreViewers  = map[string]bool{"Set": true, "Raw": true}
 )
 
@@ -453,7 +453,7 @@ func (s *arenaScan) replay(findings *[]arenaFinding) *ArenaSummary {
 // ArenaAlias is the inter-procedural arena view-lifetime analyzer.
 var ArenaAlias = &Analyzer{
 	Name: "arenaalias",
-	Doc: "a SetStore arena view (Set/Raw sub-slice) must not be used after Append/AppendStore/AppendRange/Grow/Reset, " +
+	Doc: "a SetStore arena view (Set/Raw sub-slice) must not be used after Append/AppendWith/AppendStore/AppendRange/Grow/Reset, " +
 		"which may realloc or retire the backing array — even when the mutation happens inside a callee",
 	NeedsProgram: true,
 	Run:          runArenaAlias,
@@ -468,7 +468,7 @@ func runArenaAlias(pass *Pass) {
 			mutLine := pass.Fset.Position(f.mutPos).Line
 			pass.Reportf(f.pos,
 				"arena view %q used after %s at line %d; Set/Raw sub-slices are only valid until the next "+
-					"Append/AppendStore/AppendRange/Grow/Reset — re-take the view after mutating, or copy the data out first",
+					"Append/AppendWith/AppendStore/AppendRange/Grow/Reset — re-take the view after mutating, or copy the data out first",
 				f.what, f.mutDesc, mutLine)
 		}
 		reportSinkEscapes(pass, fi)

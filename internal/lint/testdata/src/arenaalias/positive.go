@@ -8,6 +8,14 @@ func UseAfterAppend(st *SetStore) int32 {
 	return v[0] // want arenaalias "used after Append"
 }
 
+// UseAfterAppendWith reads a view after an in-place append may have
+// moved the arena.
+func UseAfterAppendWith(st *SetStore) int32 {
+	v := st.Set(0)
+	st.AppendWith(func(arena []int32) []int32 { return append(arena, 4) })
+	return v[0] // want arenaalias "used after AppendWith"
+}
+
 // RawAfterReset retains the arena itself across Reset.
 func RawAfterReset(st *SetStore) []int32 {
 	data, _ := st.Raw()

@@ -6,8 +6,8 @@ package fixture
 // SetStore is a miniature stand-in for graphalgo.SetStore — the
 // analyzer matches by type name, so the fixture does not need to
 // import the real package. The aliasing contract is identical: Set and
-// Raw return views of the flat arena; Append, AppendStore, Grow and
-// Reset may move or retire it.
+// Raw return views of the flat arena; Append, AppendWith, AppendStore,
+// Grow and Reset may move or retire it.
 type SetStore struct {
 	data []int32
 	off  []int64
@@ -29,6 +29,16 @@ func (s *SetStore) Append(vals []int32) {
 		s.off = append(s.off, 0)
 	}
 	s.data = append(s.data, vals...)
+	s.off = append(s.off, int64(len(s.data)))
+}
+
+// AppendWith adds one set written in place by fill, possibly
+// reallocating the arena.
+func (s *SetStore) AppendWith(fill func(arena []int32) []int32) {
+	if len(s.off) == 0 {
+		s.off = append(s.off, 0)
+	}
+	s.data = fill(s.data)
 	s.off = append(s.off, int64(len(s.data)))
 }
 
