@@ -61,6 +61,20 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestNextFloat64MatchesFloat64: the value-receiver step draws exactly
+// Float64's values and leaves exactly its state.
+func TestNextFloat64MatchesFloat64(t *testing.T) {
+	a := New(77)
+	b := *New(77)
+	for i := 0; i < 1000; i++ {
+		var got float64
+		got, b = b.NextFloat64()
+		if want := a.Float64(); got != want || b != *a {
+			t.Fatalf("step %d: NextFloat64 drew %v with state %v, Float64 drew %v with state %v", i, got, b, want, *a)
+		}
+	}
+}
+
 func TestFloat64Mean(t *testing.T) {
 	r := New(8)
 	const n = 200000
