@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/sigdata/goinfmax/internal/datasets"
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/rng"
@@ -111,6 +112,74 @@ func TestSampleBatchAccountingReconciles(t *testing.T) {
 		}
 		if want := store.Bytes() - before; charged != want {
 			t.Fatalf("workers=%d: charged %d want exact arena growth %d", workers, charged, want)
+		}
+	}
+}
+
+// budget stands in for a budgeted core.Context: account charges used,
+// poll fails once used passes limit, and peak is the highest charge.
+type budget struct{ limit, used, peak int64 }
+
+var errOverBudget = errors.New("over budget")
+
+func (b *budget) account(delta int64) {
+	b.used += delta
+	b.peak = max(b.peak, b.used)
+}
+
+func (b *budget) poll() error {
+	if b.used > b.limit {
+		return errOverBudget
+	}
+	return nil
+}
+
+// TestSampleBatchReservationWithinBudget: a serial batch whose arena
+// reservation projects far past a memory budget must not allocate it. The
+// batch fails on the budget with both its peak charge and the arena's
+// capacity within about append's 1.25× step of the budget, from an empty
+// store and from one holding sets an earlier batch charged.
+func TestSampleBatchReservationWithinBudget(t *testing.T) {
+	g := batchGraph(9, 150, 1000)
+	for _, prior := range []int64{0, 5000} {
+		b := &budget{limit: 1 << 20}
+		store := graphalgo.NewSetStore()
+		s := NewRRSampler(g, weights.IC)
+		if _, err := s.SampleBatch(store, prior, 1, 1, b.poll, b.account); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.SampleBatch(store, 10_000_000, 2, 1, b.poll, b.account)
+		if !errors.Is(err, errOverBudget) {
+			t.Fatalf("prior=%d: err %v want the budget's error", prior, err)
+		}
+		if bound := b.limit * 13 / 10; b.peak > bound || store.Bytes() > bound {
+			t.Fatalf("prior=%d: peak charge %d, arena %d bytes; want both within %d of a %d-byte budget",
+				prior, b.peak, store.Bytes(), bound, b.limit)
+		}
+	}
+}
+
+// TestSampleBatchReservationBound: after every serial batch of IMM-like
+// growing targets on one store (a first batch, doublings, a short final
+// step and a no-op), the arena's capacity is at most 1.25× the bytes its
+// lengths need, plus one 8 KiB page per backing array. That is no more
+// slack than append's own growth leaves, so the reservation keeps the
+// accounted M6 memory honest.
+func TestSampleBatchReservationBound(t *testing.T) {
+	g := weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 16, 1)).(*graph.Graph)
+	for _, model := range []weights.Model{weights.IC, weights.LT} {
+		store := graphalgo.NewSetStore()
+		s := NewRRSampler(g, model)
+		for i, target := range []int{100, 1000, 2000, 4000, 8000, 8600, 8600, 20000} {
+			if _, err := s.SampleBatch(store, int64(target-store.Len()), uint64(i)+1, 1, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			data, off := store.Raw()
+			need := int64(len(data))*4 + int64(len(off))*8
+			if limit := need*5/4 + 2*8192; store.Bytes() > limit {
+				t.Errorf("%v target %d: arena of %d sets holds %d bytes for %d needed, over the %d-byte bound",
+					model, target, store.Len(), store.Bytes(), need, limit)
+			}
 		}
 	}
 }
