@@ -28,9 +28,9 @@
 // the cooperative budget checks.
 //
 // Sweep evaluation is batched: selections run first, then every fresh seed
-// set is spread-evaluated against one set of common live-edge worlds, so a
-// greedy-style sweep's prefix-chained sets cost roughly ONE evaluation pass
-// instead of one per k. Cells are journaled only once evaluated; Ctrl-C
+// set is spread-evaluated against one set of common live-edge worlds, up to
+// 32 sets per bit-parallel pass, so a sweep costs roughly ONE evaluation
+// pass instead of one per k. Cells are journaled only once evaluated; Ctrl-C
 // during the evaluation phase re-runs the whole sweep's fresh cells on
 // resume.
 //
@@ -298,8 +298,8 @@ func parseKs(s string) ([]int, error) {
 // sweep runs the k sweep with checkpoint/resume: cells already present in
 // the resume journal are skipped, selections run first (ctx cancellation
 // stops cleanly between cells), then every fresh seed set is evaluated in
-// one common-world batch — prefix-chained selections cost roughly one full
-// evaluation pass — and finally the evaluated cells are journaled. Only
+// one common-world batch — up to 32 sets share each evaluation pass — and
+// finally the evaluated cells are journaled. Only
 // evaluated cells checkpoint: interrupting the evaluation phase re-runs the
 // sweep's fresh cells on resume.
 func sweep(ctx context.Context, alg goinfmax.Algorithm, g goinfmax.G, cfg goinfmax.RunConfig, ks []int, journalPath, resumePath string) (err error) {

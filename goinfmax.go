@@ -148,9 +148,10 @@ func RunCtx(ctx context.Context, alg Algorithm, g G, cfg RunConfig) Result {
 
 // RunSweepCtx runs alg over the k values under ctx, stopping early (with
 // partial results) once ctx is cancelled. Spread evaluation is batched over
-// the whole sweep against common live-edge worlds: prefix-chained greedy
-// selections cost roughly one full evaluation pass instead of one per k,
-// and each cell's Spread is bit-identical to running that cell alone.
+// the whole sweep against common live-edge worlds: each world evaluates up
+// to 32 of the sweep's seed sets in one bit-parallel pass, nested or not,
+// so a sweep costs roughly one evaluation pass instead of one per k, and
+// each cell's Spread is bit-identical to running that cell alone.
 func RunSweepCtx(ctx context.Context, alg Algorithm, g G, cfg RunConfig, ks []int) []Result {
 	return core.RunSweepCtx(ctx, alg, g, cfg, ks)
 }

@@ -13,15 +13,13 @@ import (
 //
 // The paper decouples seed selection from spread computation and charges the
 // EvalSims-simulation evaluation (default 10,000) to neither algorithm
-// (paper §5.1). That makes evaluation the dominant FIXED cost of a sweep:
-// greedy-style selections across a k grid produce prefix-chained seed sets,
-// and re-simulating each from scratch repeats almost all the work. The
-// runner therefore evaluates every cell against the common-world engine
-// (diffusion.WorldEvaluator): cells of one (graph, model, seed) observe
-// byte-identical live-edge worlds, a sweep's prefix chain costs roughly one
-// full pass instead of one per cell, and two algorithms on the same cell are
-// compared under common random numbers. Measured selection results are
-// unperturbed — evaluation still happens after selection, outside every
+// (paper §5.1). That makes evaluation the dominant FIXED cost of a sweep,
+// whose seed sets overlap heavily. The runner therefore evaluates every cell
+// against the common-world engine (diffusion.WorldEvaluator): cells of one
+// (graph, model, seed) observe byte-identical live-edge worlds, up to 32
+// sets share each world's bit-parallel pass, and two algorithms on the same
+// cell are compared under common random numbers. Measured selection results
+// are unperturbed — evaluation still happens after selection, outside every
 // budget, and the Estimate is bit-identical for any EvalWorkers value.
 
 // evalSeed derives the evaluation seed of a cell configuration. All cells
@@ -36,17 +34,17 @@ func evaluator(g graph.G, cfg RunConfig) *diffusion.WorldEvaluator {
 
 // EvaluateSweepCtx fills in the decoupled spread evaluation (Spread,
 // EvalTime) of every completed-but-unevaluated OK cell in results, in one
-// common-world batch: all cells share the same live-edge worlds, and
-// prefix-chained seed sets (greedy/CELF/RR selections across a k-sweep) are
-// evaluated incrementally. Cells that already carry a Spread (journal
-// splices) and non-OK cells are left untouched.
+// common-world batch: all cells share the same live-edge worlds, and each
+// world evaluates up to 32 cells in one bit-parallel pass. Cells that
+// already carry a Spread (journal splices) and non-OK cells are left
+// untouched.
 //
 // Cancellation keeps cells sound: when stdctx dies before the batch
 // finishes, every cell awaiting evaluation is downgraded to Cancelled — the
 // same contract as RunCtx's evaluation phase — so checkpoint journals never
 // record a half-evaluated cell and resume re-runs exactly the unevaluated
-// ones. The per-cell EvalTime is the simulation time attributed to the
-// cell's own incremental extensions, summed across evaluation workers.
+// ones. Each cell's EvalTime is its share of the batch's wall time
+// (attributeEvalTime).
 func EvaluateSweepCtx(stdctx context.Context, g graph.G, cfg RunConfig, results []Result) error {
 	if cfg.EvalSims <= 0 {
 		return nil
@@ -83,22 +81,27 @@ func EvaluateSweepCtx(stdctx context.Context, g graph.G, cfg RunConfig, results 
 		}
 		return ErrCancelled
 	}
-	wall := sw.Elapsed()
-	var attributed int64
 	for j, i := range idxs {
 		results[i].Spread = batch[j].Estimate
-		results[i].EvalTime = batch[j].EvalTime
-		attributed += int64(batch[j].EvalTime)
 	}
-	// Attribution covers simulation time only; fold the engine's fixed
-	// overhead (chain detection, matrix reduction) into the cells
-	// proportionally so the per-cell times still sum to the batch
-	// wall-clock on a serial run.
-	if overhead := int64(wall) - attributed; overhead > 0 && attributed > 0 {
-		for _, i := range idxs {
-			share := float64(results[i].EvalTime) / float64(attributed)
-			results[i].EvalTime += time.Duration(float64(overhead) * share)
-		}
-	}
+	attributeEvalTime(results, idxs, sw.Elapsed())
 	return nil
+}
+
+// attributeEvalTime splits a batch's wall time across its evaluated cells
+// in proportion to their mean spread (a lane's work grows with its reach).
+// Cuts fall at cumulative spread, so the shares sum to wall exactly (the
+// last cut is cum/total = 1), and every evaluated cell reaches at least its
+// own seeds (spread ≥ 1), so each share is above 0.
+func attributeEvalTime(results []Result, idxs []int, wall time.Duration) {
+	var total, cum float64
+	for _, i := range idxs {
+		total += results[i].Spread.Mean
+	}
+	var prev time.Duration
+	for _, i := range idxs {
+		cum += results[i].Spread.Mean
+		end := time.Duration(float64(wall) * (cum / total))
+		results[i].EvalTime, prev = end-prev, end
+	}
 }

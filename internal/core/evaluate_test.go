@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/weights"
@@ -11,8 +12,8 @@ import (
 
 // TestSweepSpreadMatchesSingleCell is the common-world contract: a cell's
 // Spread must be bit-identical whether it runs alone (RunCtx evaluates it
-// immediately) or inside a batched sweep (EvaluateSweepCtx evaluates the
-// whole prefix chain incrementally against the same worlds).
+// immediately) or inside a batched sweep (EvaluateSweepCtx evaluates every
+// cell as a lane of one pass per world against the same worlds).
 func TestSweepSpreadMatchesSingleCell(t *testing.T) {
 	g := chainGraph(30, 0.4)
 	alg := stubAlgo{name: "s", selectFn: firstK}
@@ -111,5 +112,81 @@ func TestEvaluateSweepNoEvalConfigured(t *testing.T) {
 	}
 	if results[0].Spread.Runs != 0 {
 		t.Fatalf("evaluation ran with EvalSims=0: %+v", results[0].Spread)
+	}
+}
+
+// TestEvaluateSweepEvalTimeSumsToWall: the batch's wall time is split over
+// the evaluated cells, so every evaluated cell's EvalTime is above 0, the
+// times sum to no more than the wall time around the call, and settled
+// cells keep theirs.
+func TestEvaluateSweepEvalTimeSumsToWall(t *testing.T) {
+	g := chainGraph(40, 0.5)
+	cfg := RunConfig{Model: weights.IC, Seed: 5, EvalSims: 400}
+	settled := Result{Status: OK, Seeds: []graph.NodeID{0}, EvalTime: 7}
+	settled.Spread.Runs = 3
+	results := []Result{
+		{Status: OK, Seeds: []graph.NodeID{0}},
+		settled,
+		{Status: OK, Seeds: []graph.NodeID{10, 20}},
+		{Status: OK, Seeds: []graph.NodeID{39}},
+		{Status: OK, Seeds: []graph.NodeID{5, 1, 30}},
+	}
+	start := time.Now()
+	if err := EvaluateSweepCtx(context.Background(), g, cfg, results); err != nil {
+		t.Fatal(err)
+	}
+	outer := time.Since(start)
+	var sum time.Duration
+	for i, r := range results {
+		if i == 1 {
+			if r.EvalTime != 7 {
+				t.Fatalf("settled cell's EvalTime changed to %v", r.EvalTime)
+			}
+			continue
+		}
+		if r.EvalTime <= 0 {
+			t.Fatalf("cell %d (spread %v): EvalTime %v, want > 0", i, r.Spread.Mean, r.EvalTime)
+		}
+		sum += r.EvalTime
+	}
+	if sum > outer {
+		t.Fatalf("cells' EvalTimes sum to %v, more than the %v around the batch", sum, outer)
+	}
+}
+
+// TestAttributeEvalTime: the shares follow the mean spreads and sum to the
+// wall time exactly, whatever the rounding, with every share above 0.
+func TestAttributeEvalTime(t *testing.T) {
+	means := []float64{1, 2500.5, 3, 17.25, 40000, 1}
+	for _, wall := range []time.Duration{time.Second, 1_000_003, 987_654_321_987} {
+		results := make([]Result, len(means)+1) // results[3] is not evaluated
+		var idxs []int
+		for j, m := range means {
+			i := j
+			if j >= 3 {
+				i++
+			}
+			results[i].Spread.Mean = m
+			idxs = append(idxs, i)
+		}
+		attributeEvalTime(results, idxs, wall)
+		var sum time.Duration
+		for j, i := range idxs {
+			got := results[i].EvalTime
+			if got <= 0 {
+				t.Fatalf("wall %v: cell %d (mean %v) got %v", wall, i, means[j], got)
+			}
+			want := float64(wall) * means[j] / 42522.75
+			if d := float64(got) - want; d > 1 || d < -1 {
+				t.Fatalf("wall %v: cell %d got %v, want %.1f ns", wall, i, got, want)
+			}
+			sum += got
+		}
+		if sum != wall {
+			t.Fatalf("shares sum to %v, want %v", sum, wall)
+		}
+		if results[3].EvalTime != 0 {
+			t.Fatalf("unevaluated cell got %v", results[3].EvalTime)
+		}
 	}
 }

@@ -90,9 +90,12 @@ type Result struct {
 	EstimatedSpread float64
 
 	SelectionTime time.Duration
-	EvalTime      time.Duration
-	PeakMemBytes  int64
-	Lookups       int64
+	// EvalTime is the spread evaluation's wall time: the cell's own under
+	// RunCtx; under EvaluateSweepCtx, whose cells share passes, a share of
+	// the batch's in proportion to the cell's mean spread.
+	EvalTime     time.Duration
+	PeakMemBytes int64
+	Lookups      int64
 }
 
 // SpreadPercent returns spread as the percentage of nodes in the network,
@@ -268,10 +271,10 @@ func RunSweep(alg Algorithm, g graph.G, cfg RunConfig, ks []int) []Result {
 //
 // Evaluation is batched: the sweep first runs every selection (instrumented
 // exactly as before), then evaluates all completed seed sets against one set
-// of common live-edge worlds (EvaluateSweepCtx). Greedy-style selections
-// across the k grid form a prefix chain, so the whole sweep's evaluation
-// costs roughly ONE full pass instead of len(ks) — and the resulting Spread
-// of each cell is bit-identical to running that cell alone. On cancellation
+// of common live-edge worlds (EvaluateSweepCtx), up to 32 sets per
+// bit-parallel pass, nested or not, so the whole sweep's evaluation costs
+// roughly ONE pass instead of len(ks) — and the resulting Spread of each
+// cell is bit-identical to running that cell alone. On cancellation
 // mid-evaluation, cells still awaiting their spread are marked Cancelled
 // (incomplete, re-run on resume), matching the single-cell contract.
 func RunSweepCtx(stdctx context.Context, alg Algorithm, g graph.G, cfg RunConfig, ks []int) []Result {

@@ -124,10 +124,9 @@ func EstimateSpreadParallelCtx(ctx context.Context, g graph.G, model weights.Mod
 
 // MarginalGain estimates σ(S ∪ {v}) − σ(S) over r shared live-edge worlds:
 // both seed sets observe byte-identical worlds (common random numbers),
-// which massively reduces estimator variance, and S → S∪{v} is a two-link
-// prefix chain, so the second set costs one incremental frontier extension
-// per world instead of a second full pass. Used by tests that verify
-// monotonicity and submodularity statistically.
+// which massively reduces estimator variance, and share one lane pass per
+// world, so S ∪ {v} costs only v's extra reach over S. Used by tests that
+// verify monotonicity and submodularity statistically.
 func MarginalGain(g graph.G, model weights.Model, s []graph.NodeID, v graph.NodeID, r int, seed uint64) float64 {
 	gain, err := MarginalGainCtx(context.Background(), g, model, s, v, r, seed)
 	if err != nil { // unreachable: the background context never cancels

@@ -2,12 +2,11 @@ package diffusion
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"github.com/sigdata/goinfmax/internal/graph"
-	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/sched"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
@@ -15,28 +14,24 @@ import (
 // Batched common-world spread evaluation
 //
 // The decoupled Spread evaluator (paper Alg. 1, §5.1) is the platform's
-// dominant fixed cost: every benchmark cell pays EvalSims (paper: 10,000)
-// full forward simulations, so a 9-point k-sweep re-simulates ~90k cascades
-// over heavily overlapping seed sets. Kempe et al.'s live-edge
-// characterization — already exploited by the RR-set and snapshot substrates
-// — says a sampled world is just a deterministic subgraph, so MANY seed sets
-// can be evaluated against the SAME worlds, and a chain S_1 ⊂ S_2 ⊂ … (as
-// produced by greedy/CELF/RR selections across a k-sweep) costs one
-// incremental frontier extension per world instead of one full pass per set.
+// dominant fixed cost: a 9-point k-sweep at EvalSims = 10,000 re-simulates
+// ~90k cascades over heavily overlapping seed sets. By Kempe et al.'s
+// live-edge characterization a sampled world is a deterministic subgraph,
+// so many seed sets can be evaluated against the SAME worlds, up to 32 of
+// them in one breadth-first pass per world (see lanePass and runPass).
 //
 // A WorldEvaluator fixes R worlds for (graph, model, seed). World w is never
-// materialized: its coins are O(1) arc-indexed functions — the arcIndex-th
-// splitmix64 output of the world's seed, exactly the indexed-stream scheme
-// of the parallel RR sampler (rrbatch.go). Because a coin depends only on
-// (worldSeed, arcIndex), every seed set observes byte-identical worlds
-// regardless of traversal order, which gives three properties at once:
+// materialized: its coin for arc a is the a-th splitmix64 output of the
+// world's seed, the indexed-stream scheme of the parallel RR sampler
+// (rrbatch.go). Because a coin depends only on (worldSeed, arcIndex), every
+// seed set observes byte-identical worlds regardless of traversal order:
 //
-//   - incremental chain evaluation is EXACT (equal to evaluating each set
-//     from scratch on the same worlds — generalizing Simulator.RunTwoPhase
-//     from two phases to N);
+//   - lane evaluation is EXACT: reachability from a set is the union of
+//     reachability from its seeds, so a lane's count equals evaluating its
+//     set alone on the same world, whatever else shares the pass;
 //   - evaluation parallelizes over worlds with a deterministic world-order
 //     merge, so the Estimate is bit-identical for any worker count at a
-//     fixed seed (the PR-4 SampleBatch contract);
+//     fixed seed (the SampleBatch contract);
 //   - two algorithms evaluated on the same cell share worlds — common
 //     random numbers — so their per-world spreads support paired-difference
 //     comparison with far smaller variance than independent estimates.
@@ -88,11 +83,11 @@ func (e *WorldEvaluator) Seed() uint64 { return e.seed }
 // BatchOptions tunes one EvalBatch call. The zero value is valid: all
 // available cores, no polling, no accounting, estimates only.
 type BatchOptions struct {
-	// Workers parallelizes over worlds (< 1 means GOMAXPROCS). The results
-	// are bit-identical for any value: the sched executor steals world
-	// index ranges, workers write into disjoint world-keyed slots of one
-	// spread matrix, and the reduction walks worlds sequentially
-	// afterwards — which worker simulated a world never matters.
+	// Workers parallelizes over worlds (< 1 means GOMAXPROCS), each world's
+	// passes on one worker. The results are bit-identical for any value:
+	// the sched executor steals world index ranges, workers write into
+	// disjoint world-keyed slots of one spread matrix, and the reduction
+	// walks worlds sequentially afterwards.
 	Workers int
 	// Chunk overrides the work-stealing claim granularity in worlds (0 =
 	// automatic; see sched.Options.Chunk). Results are bit-identical for
@@ -121,21 +116,12 @@ type BatchResult struct {
 	// unless BatchOptions.KeepPerWorld was set. Two sets evaluated against
 	// the same evaluator seed can be compared world by world (PairedDiff).
 	PerWorld []int32
-	// EvalTime is the simulation time attributed to this set: the summed
-	// cost of its incremental frontier extensions across all worlds and
-	// workers. Chain reuse makes the attributed times of a sweep sum to
-	// roughly one full pass instead of one pass per cell.
-	EvalTime time.Duration
-	// Chain and ChainPos locate the set in the detected prefix-chain
-	// partition: sets in the same chain were evaluated incrementally.
-	Chain, ChainPos int
 }
 
-// EvalBatch evaluates every seed set against the shared worlds, detecting
-// prefix chains (set A precedes set B when A equals B's selection-order
-// prefix) and evaluating each chain with one incremental frontier extension
-// per world. Results are returned in input order and are bit-identical for
-// any worker count.
+// EvalBatch evaluates every seed set against the shared worlds, up to
+// laneWidth sets per breadth-first pass of each world (see lanePass).
+// Results are returned in input order and are bit-identical for any worker
+// count, chunk size or grouping of the sets into passes.
 func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]BatchResult, error) {
 	m := len(sets)
 	if m == 0 {
@@ -143,21 +129,13 @@ func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]B
 	}
 	r := e.worlds
 	workers := sched.Workers(int64(r), opt.Workers)
-
-	chains := detectChains(sets)
-	results := make([]BatchResult, m)
-	for c, chain := range chains {
-		for pos, idx := range chain {
-			results[idx].Chain, results[idx].ChainPos = c, pos
-		}
-	}
+	passes := planPasses(sets)
 
 	// One flat spread matrix, rows in world order: workers fill disjoint
 	// column ranges and the reduction below walks worlds sequentially, so
 	// float summation order — hence the Estimate — never depends on the
 	// worker count.
 	spreads := make([]int32, m*r)
-	nanos := make([]int64, m)
 
 	charged := int64(0)
 	charge := func(target int64) {
@@ -171,9 +149,9 @@ func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]B
 
 	var err error
 	if workers == 1 {
-		err = e.evalWorlds(newWorldSim(e.g, e.model), sets, chains, 0, r, spreads, nanos, opt.Poll, nil, nil)
+		err = e.evalWorlds(newWorldSim(e.g, e.model), passes, 0, r, spreads, opt.Poll, nil, nil)
 	} else {
-		err = e.evalParallel(sets, chains, spreads, nanos, workers, opt.Chunk, opt.Poll)
+		err = e.evalParallel(passes, spreads, workers, opt.Chunk, opt.Poll)
 	}
 	if err != nil {
 		// The batch is discarded; reconcile the scratch charges away so the
@@ -182,6 +160,7 @@ func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]B
 		return nil, err
 	}
 
+	results := make([]BatchResult, m)
 	for i := range results {
 		row := spreads[i*r : (i+1)*r : (i+1)*r]
 		var sum, sumSq float64
@@ -191,7 +170,6 @@ func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]B
 			sumSq += f * f
 		}
 		results[i].Estimate = finishEstimate(sum, sumSq, r)
-		results[i].EvalTime = time.Duration(nanos[i])
 		if opt.KeepPerWorld {
 			results[i].PerWorld = row
 		}
@@ -202,15 +180,6 @@ func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]B
 		charge(0)
 	}
 	return results, nil
-}
-
-// Evaluate is the single-set convenience form of EvalBatch.
-func (e *WorldEvaluator) Evaluate(seeds []graph.NodeID, workers int) Estimate {
-	res, err := e.EvalBatch([][]graph.NodeID{seeds}, BatchOptions{Workers: workers})
-	if err != nil { // unreachable: no Poll means no abort path
-		panic(err)
-	}
-	return res[0].Estimate
 }
 
 // PairedDiff returns the common-random-numbers estimate of σ(B) − σ(A): the
@@ -237,56 +206,62 @@ func PairedDiff(a, b BatchResult) (mean, stderr float64, err error) {
 	return est.Mean, est.StdErr, nil
 }
 
-// detectChains partitions the batch into prefix chains: processing sets in
-// non-decreasing length order, each set joins the chain whose tail is its
-// longest selection-order prefix, or starts a new chain. A k-sweep's greedy
-// selections collapse into one chain; unrelated sets become singleton chains
-// and still share the worlds.
-func detectChains(sets [][]graph.NodeID) [][]int {
-	order := make([]int, len(sets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return len(sets[order[a]]) < len(sets[order[b]]) })
-	var chains [][]int
-	for _, idx := range order {
-		best, bestLen := -1, -1
-		for c, chain := range chains {
-			tail := sets[chain[len(chain)-1]]
-			if len(tail) > bestLen && isListPrefix(tail, sets[idx]) {
-				best, bestLen = c, len(tail)
-			}
-		}
-		if best >= 0 {
-			chains[best] = append(chains[best], idx)
-		} else {
-			chains = append(chains, []int{idx})
-		}
-	}
-	return chains
+// laneWidth is the number of seed sets one pass evaluates together.
+const laneWidth = 32
+
+// lanePass plans one pass: the batch's sets [lo, lo+width) ride as lanes
+// 0..width-1, and seeds lists their distinct seeds, each with the mask of
+// lanes holding it, in wave order. A wave is a run of equal masks.
+type lanePass struct {
+	lo, width int
+	seeds     []laneSeed
 }
 
-// isListPrefix reports whether a equals b's leading len(a) elements. Order
-// matters: chains follow selection order, matching how greedy-style sweeps
-// extend their seed lists.
-func isListPrefix(a, b []graph.NodeID) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
+type laneSeed struct {
+	v    graph.NodeID
+	mask uint32
+}
+
+// planPasses groups the batch into passes of up to laneWidth sets and sorts
+// each pass's seeds by lane count (descending), then mask, then node id.
+// Seeds shared by the most sets flood first, so a prefix chain reaches each
+// node once per world. The order changes the work, never a count.
+func planPasses(sets [][]graph.NodeID) []lanePass {
+	var passes []lanePass
+	for lo := 0; lo < len(sets); lo += laneWidth {
+		width := min(laneWidth, len(sets)-lo)
+		var seeds []laneSeed
+		for lane, set := range sets[lo : lo+width] {
+			for _, v := range set {
+				seeds = append(seeds, laneSeed{v, 1 << lane})
+			}
 		}
+		// Merge each node's lanes (duplicate seeds and shared seeds alike).
+		sort.Slice(seeds, func(a, b int) bool { return seeds[a].v < seeds[b].v })
+		merged := seeds[:0]
+		for _, s := range seeds {
+			if last := len(merged) - 1; last >= 0 && merged[last].v == s.v {
+				merged[last].mask |= s.mask
+				continue
+			}
+			merged = append(merged, s)
+		}
+		sort.Slice(merged, func(a, b int) bool {
+			x, y := merged[a], merged[b]
+			cx, cy := bits.OnesCount32(x.mask), bits.OnesCount32(y.mask)
+			return cx > cy || cx == cy && (x.mask < y.mask || x.mask == y.mask && x.v < y.v)
+		})
+		passes = append(passes, lanePass{lo: lo, width: width, seeds: merged})
 	}
-	return true
+	return passes
 }
 
 // evalWorlds evaluates worlds [lo, hi) serially on sim, writing each set's
-// spread into column w of the matrix and accumulating per-set simulation
-// nanoseconds. poll (serial path) aborts the batch; stop (parallel path) is
-// the supervisor's cheap abort flag and progress its per-world completion
-// signal (non-blocking: a full buffer means the supervisor is already awake).
-func (e *WorldEvaluator) evalWorlds(sim *worldSim, sets [][]graph.NodeID, chains [][]int, lo, hi int, spreads []int32, nanos []int64, poll func() error, stop *atomic.Bool, progress chan<- struct{}) error {
+// spread into column w of the matrix. poll (serial path) aborts the batch;
+// stop (parallel path) is the supervisor's cheap abort flag and progress its
+// per-world completion signal (non-blocking: a full buffer means the
+// supervisor is already awake).
+func (e *WorldEvaluator) evalWorlds(sim *worldSim, passes []lanePass, lo, hi int, spreads []int32, poll func() error, stop *atomic.Bool, progress chan<- struct{}) error {
 	r := e.worlds
 	for w := lo; w < hi; w++ {
 		if poll != nil {
@@ -304,16 +279,10 @@ func (e *WorldEvaluator) evalWorlds(sim *worldSim, sets [][]graph.NodeID, chains
 			}
 		}
 		sim.setWorld(worldSeed(e.seed, w))
-		for _, chain := range chains {
-			sim.begin()
-			prefix := 0
-			for _, idx := range chain {
-				set := sets[idx]
-				t0 := time.Now()
-				sp := sim.extend(set[prefix:])
-				nanos[idx] += int64(time.Since(t0))
-				spreads[idx*r+w] = sp
-				prefix = len(set)
+		for _, p := range passes {
+			counts := sim.runPass(p.seeds)
+			for lane := 0; lane < p.width; lane++ {
+				spreads[(p.lo+lane)*r+w] = counts[lane]
 			}
 		}
 	}
@@ -321,35 +290,23 @@ func (e *WorldEvaluator) evalWorlds(sim *worldSim, sets [][]graph.NodeID, chains
 }
 
 // evalParallel fans the world range out through the sched work-stealing
-// executor: cascade cost varies wildly across worlds (a world whose coins
-// percolate the giant component costs orders of magnitude more than one
-// that quenches every frontier), so static contiguous chunks leave workers
-// idle behind the unlucky one. Workers write disjoint world-keyed matrix
-// slots and private nano counters (summed afterwards — integer addition,
-// order-independent); sched supervises from the calling goroutine: it runs
-// Poll there, re-raises worker panics after the join, and the shared stop
-// flag aborts mid-chunk at world granularity. Poll cadence is driven by
-// per-world progress signals rather than wall-clock alone: a pure ticker
-// delivers almost no ticks on a loaded or race-instrumented runtime, which
-// would let a failing Poll slip past a short batch entirely.
-func (e *WorldEvaluator) evalParallel(sets [][]graph.NodeID, chains [][]int, spreads []int32, nanos []int64, workers int, chunk int64, poll func() error) error {
+// executor: cascade cost varies wildly across worlds, so static chunks leave
+// workers idle behind the unlucky one. Workers write disjoint world-keyed
+// matrix slots; sched supervises from the calling goroutine: it runs Poll
+// there on every per-world progress signal (a ticker alone delivers almost
+// no ticks on a loaded runtime), re-raises worker panics after the join, and
+// the shared stop flag aborts mid-chunk at world granularity.
+func (e *WorldEvaluator) evalParallel(passes []lanePass, spreads []int32, workers int, chunk int64, poll func() error) error {
 	var stop atomic.Bool
-	// Per-worker scratch, padded to the cache-line stride and created
-	// lazily on the worker's own goroutine (sched's affinity guarantee).
-	type wscratch struct {
-		sim   *worldSim
-		local []int64
-		_     [64 - 32]byte
-	}
-	scratch := make([]wscratch, workers)
+	// Per-worker simulators, created lazily on the worker's own goroutine
+	// (sched's affinity guarantee).
+	sims := make([]*worldSim, workers)
 	progress := make(chan struct{}, 1)
 	body := func(w int, lo, hi int64) {
-		sc := &scratch[w]
-		if sc.sim == nil {
-			sc.sim = newWorldSim(e.g, e.model)
-			sc.local = make([]int64, len(sets))
+		if sims[w] == nil {
+			sims[w] = newWorldSim(e.g, e.model)
 		}
-		_ = e.evalWorlds(sc.sim, sets, chains, int(lo), int(hi), spreads, sc.local, nil, &stop, progress)
+		_ = e.evalWorlds(sims[w], passes, int(lo), int(hi), spreads, nil, &stop, progress)
 	}
 	var pollFn func() error
 	if poll != nil {
@@ -361,31 +318,24 @@ func (e *WorldEvaluator) evalParallel(sets [][]graph.NodeID, chains [][]int, spr
 			return nil
 		}
 	}
-	if err := sched.Run(int64(e.worlds), sched.Options{Workers: workers, Chunk: chunk, Poll: pollFn, Progress: progress}, body); err != nil {
-		return err
-	}
-	for i := range nanos {
-		for w := range scratch {
-			if scratch[w].local != nil {
-				nanos[i] += scratch[w].local[i]
-			}
-		}
-	}
-	return nil
+	return sched.Run(int64(e.worlds), sched.Options{Workers: workers, Chunk: chunk, Poll: pollFn, Progress: progress}, body)
 }
 
-// worldScratchBytes upper-bounds one worldSim's resident scratch: the mark
-// bitset plus the (at most n-long) frontier queue, and for LT the per-world
-// arc-choice cache. Charged per worker by EvalBatch.
+// worldScratchBytes is one worldSim's scratch, all allocated up front: lane
+// words (8n) and ring (4n+4), plus for LT the per-world arc-choice cache
+// (8n). Charged per worker by EvalBatch.
 func worldScratchBytes(n int32, model weights.Model) int64 {
-	b := int64(n)/8 + int64(n)*4 // mark bitset (n/8) + queue capacity bound (4n)
 	if model == weights.LT {
-		b += int64(n) * 8 // ltStamp (4n) + ltChosen (4n)
+		return int64(n)*20 + 4
 	}
-	return b
+	return int64(n)*12 + 4
 }
 
-// worldSim simulates cascades inside fixed coin-indexed worlds. It reuses
+// laneWord is a node's state in a pass: the lanes whose cascade reached it,
+// and those it has yet to push along its out-arcs (queued iff pending != 0).
+type laneWord struct{ reached, pending uint32 }
+
+// worldSim runs lane passes inside fixed coin-indexed worlds. It reuses
 // per-sim scratch and is not safe for concurrent use; EvalBatch creates one
 // per worker.
 type worldSim struct {
@@ -395,23 +345,22 @@ type worldSim struct {
 
 	worldSeed uint64
 
-	// Active-set membership is a word-packed bitset (the frontier test is
-	// the hottest load of the cascade loop; one bit per node touches 32×
-	// fewer cache lines than the uint32 epoch stamps it replaced). queue
-	// holds every active node of the current chain — it is both the
-	// processed/unprocessed frontier split (the head index in extend*) and
-	// the cumulative active list, so its length IS the cumulative spread —
-	// and doubles as the incremental clear list: begin unmarks the previous
-	// chain's members in O(spread) instead of O(n).
-	mark  graphalgo.Bitset
-	queue []graph.NodeID
+	// ring is the FIFO of pending nodes, empty when head == tail; a node is
+	// queued at most once at a time, so n+1 slots suffice. Until tail wraps,
+	// ring[:tail] is also the pass's clear list (see runPass).
+	lanes      []laneWord
+	ring       []graph.NodeID
+	head, tail int
+	wrapped    bool
 
-	// LT arc choices, stamped per world: chosen[v] is v's selected
-	// in-neighbor in the current world (-1 = none), computed lazily on
-	// first probe and valid for every chain evaluated in the world. These
-	// stay epoch-stamped (not a bitset): the probes are sparse and random-
-	// order, so there is no member list to replay for an incremental clear,
-	// and an O(n) clear per world would swamp small-cascade worlds.
+	// Run-length lane counter (see count).
+	runMask  uint32
+	runCount int32
+	counts   [laneWidth]int32
+
+	// LT arc choices, stamped per world: ltChosen[v] is v's selected
+	// in-neighbor (-1 = none), computed lazily on first probe and valid for
+	// every pass of the world; stamps avoid an O(n) clear per world.
 	ltStamp    []uint32
 	ltChosen   []graph.NodeID
 	worldEpoch uint32
@@ -424,8 +373,8 @@ func newWorldSim(g graph.G, model weights.Model) *worldSim {
 		g:     g,
 		model: model,
 		m:     g.M(),
-		mark:  graphalgo.NewBitset(int(n)),
-		queue: make([]graph.NodeID, 0, 1024),
+		lanes: make([]laneWord, n),
+		ring:  make([]graph.NodeID, n+1),
 	}
 	if model == weights.LT {
 		s.ltStamp = make([]uint32, n)
@@ -449,75 +398,117 @@ func (s *worldSim) setWorld(seed uint64) {
 	}
 }
 
-// begin starts a fresh chain in the current world: empty active set. The
-// previous chain's marks are cleared by replaying its queue — O(spread),
-// not O(n).
-func (s *worldSim) begin() {
-	for _, v := range s.queue {
-		s.mark.Clear(int(v))
-	}
-	s.queue = s.queue[:0]
-}
-
-// extend activates the given seeds on top of the chain's current active set
-// and runs the frontier to quiescence, returning the CUMULATIVE spread
-// Γ(all seeds so far). Exact by the live-edge view: reachability in a fixed
-// subgraph is monotone under seed union, so extending from the new seeds
-// alone equals re-running the full set from scratch.
-func (s *worldSim) extend(seeds []graph.NodeID) int32 {
-	head := len(s.queue)
-	for _, v := range seeds {
-		if s.mark.Test(int(v)) {
-			continue // duplicate or already activated by an earlier phase
+// runPass drains one pass's waves in the current world and returns each
+// lane's spread. A node ends holding lane i iff it is reachable from set i
+// over live arcs, whichever wave or lane delivered the reach.
+func (s *worldSim) runPass(seeds []laneSeed) *[laneWidth]int32 {
+	s.counts = [laneWidth]int32{}
+	for j := 0; j < len(seeds); {
+		mask := seeds[j].mask
+		for ; j < len(seeds) && seeds[j].mask == mask; j++ {
+			v := seeds[j].v
+			if d := mask &^ s.lanes[v].reached; d != 0 {
+				s.gain(v, d)
+			}
 		}
-		s.mark.Set(int(v))
-		s.queue = append(s.queue, v)
+		switch s.model {
+		case weights.IC:
+			s.drainIC()
+		case weights.LT:
+			s.drainLT()
+		default:
+			panic(fmt.Sprintf("diffusion: unknown model %v", s.model))
+		}
 	}
-	switch s.model {
-	case weights.IC:
-		s.extendIC(head)
-	case weights.LT:
-		s.extendLT(head)
-	default:
-		panic(fmt.Sprintf("diffusion: unknown model %v", s.model))
+	s.flushRun()
+	// An unwrapped ring lists every reached node (each was queued at its
+	// first gain); a wrapped one queued over n nodes, paying for O(n).
+	if s.wrapped {
+		clear(s.lanes)
+	} else {
+		for _, v := range s.ring[:s.tail] {
+			s.lanes[v] = laneWord{}
+		}
 	}
-	return int32(len(s.queue))
+	s.head, s.tail, s.wrapped = 0, 0, false
+	return &s.counts
 }
 
-// extendIC processes the frontier from queue index head: arc a=(u,v) is
-// live iff its indexed coin clears the arc weight.
-func (s *worldSim) extendIC(head int) {
-	g := s.g
-	for ; head < len(s.queue); head++ {
-		u := s.queue[head]
+// gain gives v the lanes d, none of which it holds yet, queueing v unless
+// it is already pending.
+func (s *worldSim) gain(v graph.NodeID, d uint32) {
+	lw := &s.lanes[v]
+	if lw.pending == 0 {
+		s.ring[s.tail] = v
+		if s.tail++; s.tail == len(s.ring) {
+			s.tail, s.wrapped = 0, true
+		}
+	}
+	lw.reached |= d
+	lw.pending |= d
+}
+
+// pop dequeues the oldest pending node and takes its pending lanes: those
+// it gained since it was queued.
+func (s *worldSim) pop() (graph.NodeID, uint32) {
+	u := s.ring[s.head]
+	if s.head++; s.head == len(s.ring) {
+		s.head = 0
+	}
+	lw := &s.lanes[u]
+	d := lw.pending
+	lw.pending = 0
+	return u, d
+}
+
+// count records a popped node's lanes: a lane reaches a node once, so these
+// count each lane's reach exactly. Consecutive pops of one mask add up in
+// runCount, to reach the per-lane counts in flushRun.
+func (s *worldSim) count(d uint32) {
+	if d != s.runMask {
+		s.flushRun()
+		s.runMask = d
+	}
+	s.runCount++
+}
+
+// flushRun adds the current run of pops to every lane of its mask.
+func (s *worldSim) flushRun() {
+	for b := s.runMask; b != 0; b &= b - 1 {
+		s.counts[bits.TrailingZeros32(b)] += s.runCount
+	}
+	s.runMask, s.runCount = 0, 0
+}
+
+// drainIC pushes pending lanes along live arcs until the ring empties: arc
+// a=(u,v) is live iff its indexed coin, drawn only when u carries a lane v
+// lacks, clears the arc weight.
+func (s *worldSim) drainIC() {
+	g, lanes, seed := s.g, s.lanes, s.worldSeed
+	for s.head != s.tail {
+		u, d := s.pop()
+		s.count(d)
 		to, w := g.OutNeighbors(u)
 		base := g.OutArcBase(u)
 		for i, v := range to {
-			if s.mark.Test(int(v)) {
-				continue
-			}
-			if worldCoin(s.worldSeed, base+int64(i)) < w[i] {
-				s.mark.Set(int(v))
-				s.queue = append(s.queue, v)
+			if nd := d &^ lanes[v].reached; nd != 0 && worldCoin(seed, base+int64(i)) < w[i] {
+				s.gain(v, nd)
 			}
 		}
 	}
 }
 
-// extendLT processes the frontier from queue index head: v activates when
-// its in-arc choice for this world points at an active node.
-func (s *worldSim) extendLT(head int) {
-	g := s.g
-	for ; head < len(s.queue); head++ {
-		u := s.queue[head]
+// drainLT pushes pending lanes until the ring empties: v takes u's lanes
+// when its in-arc choice for this world is u.
+func (s *worldSim) drainLT() {
+	g, lanes := s.g, s.lanes
+	for s.head != s.tail {
+		u, d := s.pop()
+		s.count(d)
 		to, _ := g.OutNeighbors(u)
 		for _, v := range to {
-			if s.mark.Test(int(v)) {
-				continue
-			}
-			if s.chosenIn(v) == u {
-				s.mark.Set(int(v))
-				s.queue = append(s.queue, v)
+			if nd := d &^ lanes[v].reached; nd != 0 && s.chosenIn(v) == u {
+				s.gain(v, nd)
 			}
 		}
 	}

@@ -97,7 +97,7 @@ func gridResults(cfg Config) (results []core.Result, err error) {
 				}
 				// Selection pass: fresh cells run WITHOUT evaluation; the
 				// whole k-sweep is then spread-evaluated in one common-world
-				// batch (prefix-chained selections cost ~one full pass) and
+				// batch (up to 32 sets share each pass) and
 				// only evaluated cells are journaled. The checkpoint unit is
 				// therefore one algorithm's k-sweep, not one cell.
 				var pending []int // indices into results of fresh cells
