@@ -569,7 +569,22 @@ func BenchmarkGreedyMaxCoverFlat(b *testing.B) {
 		sets[i] = store.Set(i)
 	}
 	n := int32(g.N())
-	var flatSeeds, sliceSeeds []int32
+	// Both layouts must agree on the answer. Checked once, untimed, before
+	// the sub-benchmarks, so it runs whichever of them -bench selects.
+	cp := graphalgo.NewCoverageProblem(n, store)
+	flat, err := cp.GreedyMaxCoverPoll(k, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sliceSeeds := greedySliceBaseline(n, sets, k)
+	if len(flat.Seeds) != k || len(sliceSeeds) != k {
+		b.Fatalf("flat seeds %v, slice seeds %v, want %d each", flat.Seeds, sliceSeeds, k)
+	}
+	for i := range flat.Seeds {
+		if flat.Seeds[i] != sliceSeeds[i] {
+			b.Fatalf("flat seeds %v != slice seeds %v", flat.Seeds, sliceSeeds)
+		}
+	}
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -578,23 +593,16 @@ func BenchmarkGreedyMaxCoverFlat(b *testing.B) {
 			if err != nil || len(res.Seeds) != k {
 				b.Fatalf("seeds %v err %v", res.Seeds, err)
 			}
-			flatSeeds = res.Seeds
 		}
 	})
 	b.Run("slices", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sliceSeeds = greedySliceBaseline(n, sets, k)
-			if len(sliceSeeds) != k {
-				b.Fatalf("seeds %v", sliceSeeds)
+			if seeds := greedySliceBaseline(n, sets, k); len(seeds) != k {
+				b.Fatalf("seeds %v", seeds)
 			}
 		}
 	})
-	for i := range flatSeeds { // both layouts must agree on the answer
-		if flatSeeds[i] != sliceSeeds[i] {
-			b.Fatalf("flat seeds %v != slice seeds %v", flatSeeds, sliceSeeds)
-		}
-	}
 }
 
 // greedySliceBaseline is the pre-arena implementation kept for the
@@ -669,13 +677,15 @@ func (h *baselineHeap) Pop() interface{} {
 }
 
 // BenchmarkSpreadEvalBatch measures the evaluation cost of a full 9-point
-// k-sweep (the paper's k ∈ {1, 25, …, 200} grid) whose seed sets form a
-// prefix chain, as greedy/CELF/RR selections produce. "batch" evaluates all
-// nine sets against common live-edge worlds with one incremental frontier
-// extension per world (diffusion.WorldEvaluator); "naive" re-simulates every
-// set from scratch with the per-cell estimator it replaces. Same r per
-// point, serial in both cases, so ns/op compares total sweep evaluation
-// wall-clock directly (BENCH_spread.json records the measured ratio).
+// k-sweep (the paper's k ∈ {1, 25, …, 200} grid) on common live-edge worlds
+// (diffusion.WorldEvaluator), for the two shapes a sweep's seed sets take.
+// "batch" is a prefix chain, as greedy/CELF/PMC selections produce; "imm"
+// is the nine sets of one seed-42 IMM sweep, which draws a different θ per
+// k, so its sets overlap without nesting. "naive" re-simulates every chain
+// set from scratch with the per-cell estimator the batch engine replaces.
+// Same r per point, serial in every case, so ns/op compares total sweep
+// evaluation wall-clock directly (BENCH_spread.json records the measured
+// ratios).
 func BenchmarkSpreadEvalBatch(b *testing.B) {
 	g := benchGraph(b, "nethept", 8, goinfmax.WeightedCascade{})
 	const r = 1000
@@ -684,12 +694,13 @@ func BenchmarkSpreadEvalBatch(b *testing.B) {
 	for i := range order {
 		order[i] = goinfmax.NodeID(i)
 	}
-	sets := make([][]goinfmax.NodeID, len(ks))
+	chain := make([][]goinfmax.NodeID, len(ks))
 	for i, k := range ks {
-		sets[i] = order[:k]
+		chain[i] = order[:k]
 	}
-	b.Run("batch", func(b *testing.B) {
+	evalBatch := func(b *testing.B, sets [][]goinfmax.NodeID) {
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev := diffusion.NewWorldEvaluator(g, weights.IC, r, uint64(i)+1)
 			res, err := ev.EvalBatch(sets, diffusion.BatchOptions{Workers: 1})
@@ -697,12 +708,14 @@ func BenchmarkSpreadEvalBatch(b *testing.B) {
 				b.Fatalf("res %v err %v", res, err)
 			}
 		}
-	})
+	}
+	b.Run("batch", func(b *testing.B) { evalBatch(b, chain) })
+	b.Run("imm", func(b *testing.B) { evalBatch(b, immSweepSets(b, g)) })
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			for _, s := range sets {
+			for _, s := range chain {
 				est, err := diffusion.EstimateSpreadParallelCtx(ctx, g, weights.IC, s, r, uint64(i)+1, 1)
 				if err != nil || est.Mean <= 0 {
 					b.Fatalf("est %v err %v", est, err)
@@ -710,6 +723,30 @@ func BenchmarkSpreadEvalBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// immSweep memoizes immSweepSets: a sub-benchmark body runs once per b.N
+// trial and per -cpu value, and the selection costs close to a second.
+var immSweep [][]goinfmax.NodeID
+
+// immSweepSets returns the seed sets of one IMM k-sweep over the paper's
+// grid on g (seed 42, default ε, serial sampling, no evaluation).
+func immSweepSets(b *testing.B, g *graph.Graph) [][]goinfmax.NodeID {
+	b.Helper()
+	if immSweep != nil {
+		return immSweep
+	}
+	alg, err := goinfmax.NewAlgorithm("IMM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, res := range core.RunSweep(alg, g, core.RunConfig{Model: weights.IC, Seed: 42, Workers: 1}, core.PaperKs()) {
+		if res.Status != core.OK {
+			b.Fatalf("IMM k=%d: %v %v", res.K, res.Status, res.Err)
+		}
+		immSweep = append(immSweep, res.Seeds)
+	}
+	return immSweep
 }
 
 // Work-stealing executor benchmarks

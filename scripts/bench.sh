@@ -37,11 +37,13 @@ cd "$(dirname "$0")/.."
 # snapshot pool, the shared lazy-greedy engine that offline PMC and the
 # snapshot pool both run, the pool's construction (snapshot sampling and
 # SCC condensation), and the score family's greedies on that engine
-# (LDAG, SIMPATH and PMIA), which no end-to-end workload runs, and one
+# (LDAG, SIMPATH and PMIA), which no end-to-end workload runs, one
 # whole RR-family selection (an imm-sweep cell: every phase's sampling,
-# inversion and greedy cover). A top-level alternative may name a
-# sub-benchmark: BenchmarkExt_Exclusions/PMIA runs that row alone.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
+# inversion and greedy cover), and a k-sweep's evaluation in both seed-set
+# shapes (a prefix chain, and an IMM sweep's sets that overlap without
+# nesting). A top-level alternative may name sub-benchmarks:
+# BenchmarkExt_Exclusions/PMIA runs that row alone.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkSpreadEvalBatch/(batch|imm)|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
 # The smoke set: every bench harness the repo ships, one iteration.
 SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
 
