@@ -17,6 +17,13 @@ import (
 // the same invariant gosupervise enforces for goroutines, applied to the
 // net/http handler boundary.
 
+// The refusals' bodies never change, so they are encoded once, by
+// writeError's encoder, and cannot drift from what writeError would send.
+var (
+	drainingBody  = errorBody("server is draining")
+	saturatedBody = errorBody("server saturated: admission gate full")
+)
+
 // gate is a counting semaphore bounding concurrently admitted queries.
 type gate chan struct{}
 
@@ -88,13 +95,13 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) admit(route string, h http.HandlerFunc) http.HandlerFunc {
 	return s.instrument(route, func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
+			writeJSON(w, http.StatusServiceUnavailable, drainingBody)
 			return
 		}
 		if !s.gate.tryAcquire() {
 			s.met.reject()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "server saturated: admission gate full")
+			w.Header()["Retry-After"] = retryAfterOne
+			writeJSON(w, http.StatusTooManyRequests, saturatedBody)
 			return
 		}
 		defer s.gate.release()

@@ -8,7 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -92,30 +92,22 @@ type errorResponse struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, errorBody(msg))
+}
+
+// errorBody encodes the uniform error body for msg.
+func errorBody(msg string) []byte {
 	body, err := json.Marshal(errorResponse{Error: msg})
 	if err != nil {
 		body = []byte(`{"error":"internal error"}`)
 	}
-	writeJSON(w, status, body)
-}
-
-// decodeBody parses a JSON request body with a size cap and strict field
-// checking, so typos like "evalsim" fail loudly instead of silently
-// running with defaults.
-func decodeBody(w http.ResponseWriter, r *http.Request, into interface{}) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
-		return false
-	}
-	return true
+	return body
 }
 
 // canonicalSeeds validates, sorts and deduplicates a client seed set. The
@@ -126,9 +118,8 @@ func canonicalSeeds(seeds []graph.NodeID, n int32) ([]graph.NodeID, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("seeds must be non-empty")
 	}
-	out := make([]graph.NodeID, len(seeds))
-	copy(out, seeds)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(seeds)
+	slices.Sort(out)
 	dedup := out[:0]
 	var prev graph.NodeID = -1
 	for _, v := range out {
@@ -191,7 +182,7 @@ func mapOracleErr(err error) (int, string) {
 func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() ([]byte, int, string)) {
 	if body, ok := s.cache.Get(key); ok {
 		s.met.cacheHit()
-		w.Header().Set("X-Cache", "hit")
+		w.Header()["X-Cache"] = xCacheHit
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
@@ -202,13 +193,13 @@ func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() (
 		return
 	}
 	s.cache.Put(key, body)
-	w.Header().Set("X-Cache", "miss")
+	w.Header()["X-Cache"] = xCacheMiss
 	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 	var req spreadRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, decodeSpreadFast) {
 		return
 	}
 	seeds, err := canonicalSeeds(req.Seeds, s.cfg.Graph.N())
@@ -260,7 +251,7 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Spread = sp
 		}
-		body, err := json.Marshal(resp)
+		body, err := resp.encode()
 		if err != nil {
 			return nil, http.StatusInternalServerError, "encoding failure"
 		}
@@ -270,7 +261,7 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	var req seedsRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, decodeSeedsFast) {
 		return
 	}
 	if req.K < 1 || req.K > s.cfg.MaxK {
@@ -294,10 +285,11 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 			status, msg := mapOracleErr(err)
 			return nil, status, msg
 		}
-		body, err := json.Marshal(seedsResponse{
+		resp := seedsResponse{
 			Backend: cur.oracle.Backend(), K: req.K, Seeds: seeds, Spread: spread,
 			Degraded: cur.degraded,
-		})
+		}
+		body, err := resp.encode()
 		if err != nil {
 			return nil, http.StatusInternalServerError, "encoding failure"
 		}
