@@ -5,9 +5,12 @@
 package goinfmax_test
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -464,6 +467,81 @@ func BenchmarkOracleSeedsCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeHandler measures one request through imserve's whole
+// in-process handler with the response cache off: admission, body decode,
+// the warm oracle query, and the response encode and write. The oracle is
+// a default-size rrset index on the nethept stand-in at scale 16; seeds
+// asks for k = 200, the largest allowed, and spread for a 10-seed set. The
+// request and response writer are reused, so the allocations counted are
+// the handler's own.
+func BenchmarkServeHandler(b *testing.B) {
+	g := benchGraph(b, "nethept", 16, goinfmax.WeightedCascade{})
+	o, err := serve.BuildOracle(context.Background(), "rrset", g, weights.IC, 0, 1, serve.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Oracle: o, Graph: g, Model: weights.IC, SchemeName: "WC", Seed: 1, CacheEntries: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spread := []byte(`{"seeds":[`)
+	for i := int32(0); i < 10; i++ {
+		if i > 0 {
+			spread = append(spread, ',')
+		}
+		spread = fmt.Appendf(spread, "%d", i*g.N()/10)
+	}
+	spread = append(spread, "]}"...)
+	runtime.GC()
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"seeds", "/v1/seeds", []byte(`{"k":200}`)},
+		{"spread", "/v1/spread", spread},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := srv.Handler()
+			body := &benchBody{}
+			req := httptest.NewRequest(http.MethodPost, c.path, nil)
+			req.Header.Set("Content-Type", "application/json")
+			req.Body, req.ContentLength = body, int64(len(c.body))
+			w := &benchWriter{header: http.Header{}}
+			serveOne := func() {
+				body.Reset(c.body)
+				clear(w.header)
+				w.status = 0
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("%s: status %d", c.path, w.status)
+				}
+			}
+			// One untimed request extends the oracle's greedy order to k.
+			serveOne()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOne()
+			}
+		})
+	}
+}
+
+// benchBody is a reusable request body.
+type benchBody struct{ bytes.Reader }
+
+func (*benchBody) Close() error { return nil }
+
+// benchWriter is a reusable http.ResponseWriter that keeps only the status.
+type benchWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *benchWriter) Header() http.Header         { return w.header }
+func (w *benchWriter) WriteHeader(status int)      { w.status = status }
+func (w *benchWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkPoolBuild measures the snapshot pool's construction, the bulk of
 // an offline PMC cell: sampling 200 live-edge snapshots of the nethept

@@ -41,11 +41,13 @@ cd "$(dirname "$0")/.."
 # whole RR-family selection (an imm-sweep cell: every phase's sampling,
 # inversion and greedy cover), and a k-sweep's evaluation in both seed-set
 # shapes (a prefix chain, and an IMM sweep's sets that overlap without
-# nesting). A top-level alternative may name sub-benchmarks:
-# BenchmarkExt_Exclusions/PMIA runs that row alone.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkSpreadEvalBatch/(batch|imm)|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
+# nesting), and one /v1 request through imserve's whole in-process
+# handler (admission, body decode, warm oracle query, response encode),
+# the only ratchet on the HTTP layer. A top-level alternative may name
+# sub-benchmarks: BenchmarkExt_Exclusions/PMIA runs that row alone.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkSpreadEvalBatch/(batch|imm)|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA|BenchmarkServeHandler'
 # The smoke set: every bench harness the repo ships, one iteration.
-SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA'
+SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA|BenchmarkServeHandler'
 
 CPUS="${BENCH_CPUS:-1,4,8}"
 TIME="${BENCH_TIME:-0.5s}"
