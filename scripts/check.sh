@@ -29,6 +29,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# A short fuzzing run beyond the committed seed corpus, which the suite
+# above replays: the /v1 request decoder against json.Decoder.
+echo "==> fuzz FuzzServeDecode (10s)"
+go test -run '^$' -fuzz '^FuzzServeDecode$' -fuzztime 10s ./internal/serve
+
 # The imperf benchmark is a module of its own, so the root ./... never
 # reaches its smoke test: the only check that compares /v1/seeds grid
 # answers of a built and a cold-started oracle against pinned goldens.
