@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	goinfmax "github.com/sigdata/goinfmax"
+	"github.com/sigdata/goinfmax/internal/durable"
 	"github.com/sigdata/goinfmax/internal/loadgen"
 	"github.com/sigdata/goinfmax/internal/serve"
 	"github.com/sigdata/goinfmax/internal/weights"
@@ -231,7 +233,10 @@ func run(ctx context.Context, args []string) error {
 		_, err = os.Stdout.Write(data)
 		return err
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := durable.WriteFile(*out, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("imload: report written to %s\n", *out)

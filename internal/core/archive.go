@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sigdata/goinfmax/internal/durable"
 	"github.com/sigdata/goinfmax/internal/graph"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
@@ -137,23 +138,11 @@ func ReadArchive(r io.Reader) ([]Result, error) {
 	return out, nil
 }
 
-// SaveArchive writes results to path, creating parent directories.
-func SaveArchive(path string, results []Result) (err error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("core: mkdir %s: %w", dir, err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: create %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return WriteArchive(f, results)
+// SaveArchive atomically replaces path with the archive of results,
+// creating parent directories (see durable.WriteFile), so a crash
+// mid-save leaves the previous archive intact.
+func SaveArchive(path string, results []Result) error {
+	return durable.WriteFile(path, func(w io.Writer) error { return WriteArchive(w, results) })
 }
 
 // LoadArchive reads an archive file written by SaveArchive.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/persist/failpoint"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
 
@@ -75,6 +76,69 @@ func TestArchiveFileRoundTrip(t *testing.T) {
 	}
 	if len(out) != 2 {
 		t.Fatalf("%d records", len(out))
+	}
+}
+
+// TestArchiveCrashDuringSave: a crash (a panicking failpoint) at any step
+// of SaveArchive leaves the previous archive byte-identical before the
+// rename and the complete new one after it; an injected error leaves the
+// previous archive and no temp file.
+func TestArchiveCrashDuringSave(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	results := sampleResults()
+	setup := func(t *testing.T) (dir, path string, before []byte) {
+		dir = t.TempDir()
+		path = filepath.Join(dir, "run.json")
+		if err := SaveArchive(path, results[:1]); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, path, before
+	}
+	for _, fp := range []string{"durable.write", "durable.sync", "durable.rename", "durable.dirsync"} {
+		t.Run("crash/"+fp, func(t *testing.T) {
+			_, path, before := setup(t)
+			failpoint.Enable(fp, func() error { panic("kill -9 at " + fp) })
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("expected the injected crash at %s", fp)
+					}
+				}()
+				_ = SaveArchive(path, results)
+			}()
+			failpoint.Reset()
+			if fp != "durable.dirsync" {
+				if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, before) {
+					t.Fatalf("crash at %s altered the previous archive (read err %v)", fp, err)
+				}
+				return
+			}
+			out, err := LoadArchive(path)
+			if err != nil || len(out) != len(results) {
+				t.Fatalf("archive after a crash past the rename: %d records, err %v; want %d", len(out), err, len(results))
+			}
+		})
+	}
+	for _, fp := range []string{"durable.mkdir", "durable.write", "durable.sync", "durable.rename"} {
+		t.Run("error/"+fp, func(t *testing.T) {
+			dir, path, before := setup(t)
+			failpoint.EnableErr(fp, errors.New("injected "+fp))
+			err := SaveArchive(path, results)
+			failpoint.Reset()
+			if err == nil {
+				t.Fatalf("SaveArchive succeeded despite %s", fp)
+			}
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, before) {
+				t.Fatalf("failed SaveArchive altered the previous archive (read err %v)", err)
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Fatalf("temp litter after a failed SaveArchive: %v (err %v)", entries, err)
+			}
+		})
 	}
 }
 

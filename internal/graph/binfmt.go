@@ -5,24 +5,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+
+	"github.com/sigdata/goinfmax/internal/durable"
 )
 
-// Binary graph format ("GIMB", version 1)
+// Binary graph format ("GIMB", version 2)
 //
-// The on-disk layout mirrors the internal/persist envelope idiom — magic,
-// explicit version, CRC-32C over the payload — and holds exactly the
-// sections the Compact backend serves from, so opening a file is a single
-// mmap (or one sequential heap read) with zero translation:
+// The file is a durable envelope — magic, explicit version, payload, and
+// a CRC-32C of every preceding byte — holding exactly the sections the
+// Compact backend serves from, so opening a file is a single mmap (or one
+// sequential heap read) with zero translation:
 //
 //	offset 0  magic "GIMB" (4 bytes)
-//	          u32  version (= 1)
-//	          ┌─ CRC-32C-covered payload ─────────────────────────────┐
+//	          u32  version (= 2)
+//	          ┌─ payload ─────────────────────────────────────────────┐
 //	          │ u32  flags (bit0 directed, bit1 explicit weights)     │
 //	          │ u8   offWidth (4 or 8), u8[3] zero padding            │
 //	          │ i64  n, i64 m                                         │
@@ -34,31 +34,31 @@ import (
 //	          │ outW    m·8              (only with explicit weights) │
 //	          │ inOff, inIdx, inBlob, inW    same, transposed         │
 //	          └───────────────────────────────────────────────────────┘
-//	          u32  CRC-32C (Castagnoli) of the payload
+//	          u32  CRC-32C (Castagnoli) of magic, version and payload
 //
 // All integers are little-endian. Each node's adjacency run is its arcs in
 // stored order, encoded as zigzag varints of successive differences (first
 // arc delta is against 0). offWidth is the configurable node-ID/offset
 // width: 4-byte indexes suffice while m and both blob lengths fit in
-// uint32; files beyond that use 8.
+// uint32; files beyond that use 8. Version 1 files, whose CRC covered the
+// payload only, are refused with ErrBinaryVersion; regenerate them.
 
 const (
 	binaryMagic   = "GIMB"
-	binaryVersion = 1
+	binaryVersion = 2
 
 	flagDirected = 1 << 0
 	flagWeighted = 1 << 1
 )
 
-// Sentinel errors for the open-time verification ladder.
+// Sentinel errors for the open-time verification ladder: the durable
+// envelope's, so errors.Is matches either name.
 var (
-	ErrBinaryMagic     = errors.New("graph: not a binary graph file (bad magic)")
-	ErrBinaryVersion   = errors.New("graph: unsupported binary graph version")
-	ErrBinaryChecksum  = errors.New("graph: binary graph checksum mismatch")
-	ErrBinaryTruncated = errors.New("graph: binary graph file truncated")
+	ErrBinaryMagic     = durable.ErrMagic
+	ErrBinaryVersion   = durable.ErrVersion
+	ErrBinaryChecksum  = durable.ErrChecksum
+	ErrBinaryTruncated = durable.ErrTruncated
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // zigzag encodes a signed delta as an unsigned varint payload.
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
@@ -88,8 +88,8 @@ type BinaryWriterOptions struct {
 // file in bounded memory: O(n) offset arrays plus the sort budget, never
 // O(m). Arcs are spilled to a temp file as they arrive; Close runs a
 // sharded external counting sort (stable, so per-node stored order is the
-// arrival order — Builder parity) and assembles the final file atomically
-// (tmp + rename) with its CRC.
+// arrival order — Builder parity) and writes the final file through
+// durable.WriteEnvelope, which replaces the target atomically.
 type BinaryWriter struct {
 	path string
 	n    int64
@@ -193,7 +193,7 @@ func (w *BinaryWriter) Abort() {
 // Close finalizes the file. The spilled arc stream is counting-sorted into
 // per-direction adjacency (stable within each node) in bounded passes,
 // blobs are encoded to temp files, and the final image is assembled with
-// header + CRC and atomically renamed into place.
+// header + CRC and atomically replaces the target (see assemble).
 func (w *BinaryWriter) Close() (err error) {
 	if w.closed {
 		return errors.New("graph: binary writer: already closed")
@@ -376,50 +376,10 @@ func (w *BinaryWriter) scanSpill(fn func(u, v NodeID, weight float64)) error {
 	return nil
 }
 
-// crcWriter tees everything written through a CRC-32C.
-type crcWriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	_, _ = cw.crc.Write(p) // hash.Hash never errors
-	return cw.w.Write(p)
-}
-
-func (cw *crcWriter) writeOffsets(off []int64, width int) error {
-	var buf [8]byte
-	for _, o := range off {
-		if width == 4 {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(o))
-			if _, err := cw.Write(buf[:4]); err != nil {
-				return err
-			}
-		} else {
-			binary.LittleEndian.PutUint64(buf[:8], uint64(o))
-			if _, err := cw.Write(buf[:8]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (cw *crcWriter) copyFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	_, err = io.Copy(cw, bufio.NewReaderSize(f, 1<<20))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// assemble writes the final image: header + sections + CRC, atomically.
+// assemble writes the final image — header, sections, checksum — through
+// durable.WriteEnvelope, so it replaces w.path atomically.
 func (w *BinaryWriter) assemble(outOff, outIdx []int64, outBlobPath, outWPath string,
-	inOff, inIdx []int64, inBlobPath, inWPath string) (err error) {
+	inOff, inIdx []int64, inBlobPath, inWPath string) error {
 
 	outBlobLen := outIdx[w.n]
 	inBlobLen := inIdx[w.n]
@@ -433,30 +393,6 @@ func (w *BinaryWriter) assemble(outOff, outIdx []int64, outBlobPath, outWPath st
 	if width == 4 && (w.m > math.MaxUint32 || outBlobLen > math.MaxUint32 || inBlobLen > math.MaxUint32) {
 		return fmt.Errorf("graph: binary writer: graph too large for 4-byte offsets (m=%d)", w.m)
 	}
-
-	tmp := w.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("graph: binary writer: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			_ = f.Close()
-			_ = os.Remove(tmp)
-		}
-	}()
-
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err = bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b8[:4], binaryVersion)
-	if _, err = bw.Write(b8[:4]); err != nil {
-		return err
-	}
-
-	cw := &crcWriter{w: bw, crc: crc32.New(castagnoli)}
 	flags := uint32(0)
 	if w.opts.Directed {
 		flags |= flagDirected
@@ -464,79 +400,69 @@ func (w *BinaryWriter) assemble(outOff, outIdx []int64, outBlobPath, outWPath st
 	if w.opts.Weighted {
 		flags |= flagWeighted
 	}
-	binary.LittleEndian.PutUint32(b8[:4], flags)
-	b8[4] = byte(width)
-	b8[5], b8[6], b8[7] = 0, 0, 0
-	if _, err = cw.Write(b8[:8]); err != nil {
-		return err
-	}
-	for _, v := range []int64{w.n, w.m} {
-		binary.LittleEndian.PutUint64(b8[:], uint64(v))
-		if _, err = cw.Write(b8[:]); err != nil {
-			return err
-		}
-	}
 	name := w.opts.Name
 	if len(name) > math.MaxUint16 {
 		name = name[:math.MaxUint16]
 	}
-	binary.LittleEndian.PutUint16(b8[:2], uint16(len(name)))
-	if _, err = cw.Write(b8[:2]); err != nil {
-		return err
-	}
-	if _, err = cw.Write([]byte(name)); err != nil {
-		return err
-	}
-	for _, v := range []int64{outBlobLen, inBlobLen} {
-		binary.LittleEndian.PutUint64(b8[:], uint64(v))
-		if _, err = cw.Write(b8[:]); err != nil {
-			return err
-		}
-	}
+	head := binary.LittleEndian.AppendUint32(nil, flags)
+	head = append(head, byte(width), 0, 0, 0)
+	head = binary.LittleEndian.AppendUint64(head, uint64(w.n))
+	head = binary.LittleEndian.AppendUint64(head, uint64(w.m))
+	head = binary.LittleEndian.AppendUint16(head, uint16(len(name)))
+	head = append(head, name...)
+	head = binary.LittleEndian.AppendUint64(head, uint64(outBlobLen))
+	head = binary.LittleEndian.AppendUint64(head, uint64(inBlobLen))
 
-	if err = cw.writeOffsets(outOff, width); err != nil {
-		return err
-	}
-	if err = cw.writeOffsets(outIdx, width); err != nil {
-		return err
-	}
-	if err = cw.copyFile(outBlobPath); err != nil {
-		return err
-	}
-	if w.opts.Weighted {
-		if err = cw.copyFile(outWPath); err != nil {
+	return durable.WriteEnvelope(w.path, binaryMagic, binaryVersion, func(out io.Writer) error {
+		if _, err := out.Write(head); err != nil {
 			return err
 		}
-	}
-	if err = cw.writeOffsets(inOff, width); err != nil {
-		return err
-	}
-	if err = cw.writeOffsets(inIdx, width); err != nil {
-		return err
-	}
-	if err = cw.copyFile(inBlobPath); err != nil {
-		return err
-	}
-	if w.opts.Weighted {
-		if err = cw.copyFile(inWPath); err != nil {
+		section := func(off, idx []int64, blobPath, wPath string) error {
+			if err := writeOffsets(out, off, width); err != nil {
+				return err
+			}
+			if err := writeOffsets(out, idx, width); err != nil {
+				return err
+			}
+			if err := copyFile(out, blobPath); err != nil {
+				return err
+			}
+			if w.opts.Weighted {
+				return copyFile(out, wPath)
+			}
+			return nil
+		}
+		if err := section(outOff, outIdx, outBlobPath, outWPath); err != nil {
 			return err
 		}
-	}
+		return section(inOff, inIdx, inBlobPath, inWPath)
+	})
+}
 
-	binary.LittleEndian.PutUint32(b8[:4], cw.crc.Sum32())
-	if _, err = bw.Write(b8[:4]); err != nil {
+// writeOffsets writes off as width-byte little-endian integers: the low
+// width bytes of each value's 8-byte little-endian form.
+func writeOffsets(w io.Writer, off []int64, width int) error {
+	var buf [8]byte
+	for _, o := range off {
+		binary.LittleEndian.PutUint64(buf[:], uint64(o))
+		if _, err := w.Write(buf[:width]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// copyFile appends the contents of the temp file at path to w.
+func copyFile(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
 		return err
 	}
-	if err = bw.Flush(); err != nil {
-		return err
+	_, err = io.Copy(w, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, w.path)
+	return err
 }
 
 // WriteBinary encodes an already-built graph to the binary format. Both
@@ -705,19 +631,9 @@ func OpenBinary(path string, opts OpenBinaryOptions) (*Compact, error) {
 
 // parseBinary verifies the envelope and slices the sections out of data.
 func parseBinary(data []byte, path string) (*Compact, error) {
-	if len(data) < 8 || string(data[:4]) != binaryMagic {
-		return nil, fmt.Errorf("%w: %s", ErrBinaryMagic, path)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != binaryVersion {
-		return nil, fmt.Errorf("%w: %s has version %d, want %d", ErrBinaryVersion, path, v, binaryVersion)
-	}
-	if len(data) < 12 {
-		return nil, fmt.Errorf("%w: %s", ErrBinaryTruncated, path)
-	}
-	payload := data[8 : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: %s: got %08x want %08x", ErrBinaryChecksum, path, got, want)
+	payload, err := durable.Verify(data, binaryMagic, binaryVersion)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
 
 	p := payload
@@ -777,7 +693,6 @@ func parseBinary(data []byte, path string) (*Compact, error) {
 		offWidth: width,
 	}
 	idxBytes := (n + 1) * int64(width)
-	var err error
 	if c.outOff, err = take(idxBytes); err != nil {
 		return nil, err
 	}

@@ -1,11 +1,16 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/sigdata/goinfmax/internal/persist/failpoint"
 )
 
 // randomGraph builds a CSR graph from a reproducible pseudo-random edge
@@ -170,4 +175,112 @@ func TestBinaryCorruptionLadder(t *testing.T) {
 	mut("version", func(d []byte) []byte { d[4] = 99; return d }, ErrBinaryVersion)
 	mut("flip-payload", func(d []byte) []byte { d[40] ^= 0x01; return d }, ErrBinaryChecksum)
 	mut("truncate", func(d []byte) []byte { return d[:10] }, ErrBinaryTruncated)
+	// A version-1 file: its CRC covered the payload only.
+	mut("version-1", func(d []byte) []byte {
+		d[4] = 1
+		sum := crc32.Checksum(d[8:len(d)-4], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(d[len(d)-4:], sum)
+		return d
+	}, ErrBinaryVersion)
+}
+
+// TestBinaryCrashMatrix runs both GIMB writers through the durable write
+// protocol's faults. A crash (a panicking failpoint) leaves the previous
+// file byte-identical before the rename and the complete new one after
+// it; an injected error leaves the previous file and no temp file; a torn
+// write is renamed into place and refused by the checksum.
+func TestBinaryCrashMatrix(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	old, _ := randomTestGraph(t, 3, 20, 60, true, true)
+	g, es := randomTestGraph(t, 4, 30, 90, true, true)
+	opts := BinaryWriterOptions{Name: "t", Directed: true, Weighted: true}
+	for _, wr := range []struct {
+		name  string
+		write func(path string) error
+	}{
+		{"WriteBinary", func(path string) error { return WriteBinary(g, path, opts) }},
+		{"BinaryWriter.Close", func(path string) error {
+			w, err := NewBinaryWriter(path, g.N(), opts)
+			if err != nil {
+				return err
+			}
+			for _, e := range es {
+				if err := w.AddEdge(e.From, e.To, e.Weight); err != nil {
+					return err
+				}
+			}
+			return w.Close()
+		}},
+	} {
+		// setup writes the previous file into a fresh directory.
+		setup := func(t *testing.T) (dir, path string, before []byte) {
+			dir = t.TempDir()
+			path = filepath.Join(dir, "g.gimb")
+			if err := WriteBinary(old, path, opts); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dir, path, before
+		}
+		for _, fp := range []string{"durable.write", "durable.sync", "durable.rename", "durable.dirsync"} {
+			t.Run(wr.name+"/crash/"+fp, func(t *testing.T) {
+				_, path, before := setup(t)
+				failpoint.Enable(fp, func() error { panic("kill -9 at " + fp) })
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("expected the injected crash at %s", fp)
+						}
+					}()
+					_ = wr.write(path)
+				}()
+				failpoint.Reset()
+				if fp != "durable.dirsync" {
+					if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, before) {
+						t.Fatalf("crash at %s altered the previous file (read err %v)", fp, err)
+					}
+					return
+				}
+				c, err := OpenBinary(path, OpenBinaryOptions{})
+				if err != nil {
+					t.Fatalf("file unusable after a crash past the rename: %v", err)
+				}
+				assertSame(t, g, c)
+			})
+		}
+		for _, fp := range []string{"durable.mkdir", "durable.write", "durable.sync", "durable.rename"} {
+			t.Run(wr.name+"/error/"+fp, func(t *testing.T) {
+				dir, path, before := setup(t)
+				failpoint.EnableErr(fp, errors.New("injected "+fp))
+				err := wr.write(path)
+				failpoint.Reset()
+				if err == nil {
+					t.Fatalf("write succeeded despite %s", fp)
+				}
+				if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, before) {
+					t.Fatalf("failed write altered the previous file (read err %v)", err)
+				}
+				if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+					t.Fatalf("temp litter after a failed write: %v (err %v)", entries, err)
+				}
+			})
+		}
+		t.Run(wr.name+"/torn", func(t *testing.T) {
+			_, path, _ := setup(t)
+			failpoint.EnableVal("durable.write.torn", 64)
+			err := wr.write(path)
+			failpoint.Reset()
+			if err != nil {
+				t.Fatalf("a torn write reports success by definition, got %v", err)
+			}
+			for _, mmap := range []bool{false, true} {
+				if _, err := OpenBinary(path, OpenBinaryOptions{Mmap: mmap}); !errors.Is(err, ErrBinaryChecksum) {
+					t.Fatalf("OpenBinary(mmap=%v) of a torn file = %v, want %v", mmap, err, ErrBinaryChecksum)
+				}
+			}
+		})
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"github.com/sigdata/goinfmax/internal/durable"
 )
 
 // Edge-list text format
@@ -114,16 +116,8 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveEdgeListFile writes the edge list to path, creating or truncating it.
-func (g *Graph) SaveEdgeListFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("graph: create %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return g.WriteEdgeList(f)
+// SaveEdgeListFile atomically replaces path with the edge list (see
+// durable.WriteFile).
+func (g *Graph) SaveEdgeListFile(path string) error {
+	return durable.WriteFile(path, g.WriteEdgeList)
 }

@@ -4,9 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
+
+	"github.com/sigdata/goinfmax/internal/durable"
 )
 
 // Table accumulates rows and renders them as an aligned text table (for the
@@ -114,21 +114,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// SaveCSV writes the table to path, creating parent directories.
-func (t *Table) SaveCSV(path string) (err error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("metrics: mkdir %s: %w", dir, err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: create %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return t.WriteCSV(f)
+// SaveCSV atomically replaces path with the table's CSV, creating parent
+// directories (see durable.WriteFile).
+func (t *Table) SaveCSV(path string) error {
+	return durable.WriteFile(path, t.WriteCSV)
 }

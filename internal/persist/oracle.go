@@ -6,6 +6,7 @@ import (
 
 	"github.com/sigdata/goinfmax/internal/algo/rrset"
 	"github.com/sigdata/goinfmax/internal/algo/snapshot"
+	"github.com/sigdata/goinfmax/internal/durable"
 	"github.com/sigdata/goinfmax/internal/graphalgo"
 )
 
@@ -20,11 +21,11 @@ type Snapshot struct {
 }
 
 // Save writes the snapshot to path with the atomic, checksummed protocol
-// (see writeAtomic). Only primary state is persisted — the RR-set arena
-// or the condensation DAGs — never derived indexes, which the load path
-// rebuilds so they cannot go stale.
+// (see durable.WriteEnvelope). Only primary state is persisted — the
+// RR-set arena or the condensation DAGs — never derived indexes, which
+// the load path rebuilds so they cannot go stale.
 func Save(path string, s *Snapshot) error {
-	return writeAtomic(path, func(w io.Writer) error {
+	return durable.WriteEnvelope(path, magic, FormatVersion, func(w io.Writer) error {
 		e := newEncoder(w)
 		e.str(s.Header.Backend)
 		e.u64(s.Header.Fingerprint)

@@ -6,34 +6,31 @@
 //
 // The durability argument has two halves:
 //
-//   - Write side: payload bytes go to a temp file in the destination
-//     directory, are fsynced, and only then renamed over the target,
-//     followed by a directory fsync. A crash before the rename leaves the
-//     old snapshot (or nothing) in place; a crash after it leaves the new
-//     one. There is no interleaving in which the target names partial
-//     data on a POSIX filesystem.
-//   - Read side: the loader trusts nothing. Magic, format version, a
-//     whole-file CRC-32C, the graph fingerprint and the build parameters
-//     are verified in that order before a single payload byte is decoded,
-//     and the decoder itself bounds-checks every read. Any failure is a
-//     typed LoadError with a machine-readable Reason; callers log it and
-//     fall back to a fresh build — never a crash, never partial state.
+//   - Write side: Save goes through durable.WriteEnvelope, the platform's
+//     one write protocol (temp file → fsync → rename → directory fsync)
+//     and one envelope (magic | version | payload | CRC-32C). A crash
+//     before the rename leaves the old snapshot (or nothing) in place; a
+//     crash after it leaves the new one.
+//   - Read side: the loader trusts nothing. The envelope (size, magic,
+//     format version, CRC-32C), the graph fingerprint and the build
+//     parameters are verified in that order before a single payload byte
+//     is decoded, and the decoder itself bounds-checks every read. Any
+//     failure is a typed LoadError with a machine-readable Reason;
+//     callers log it and fall back to a fresh build — never a crash,
+//     never partial state.
 //
 // Fault injection for the recovery tests threads through the failpoint
-// subpackage: torn writes, short reads, bit corruption, and sync/rename
-// errors are all injectable by name with zero overhead when disabled.
+// subpackage: the read side's short reads and bit corruption are
+// injectable here, the write side's torn writes and sync/rename errors
+// in package durable, all by name with zero overhead when disabled.
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 
+	"github.com/sigdata/goinfmax/internal/durable"
 	"github.com/sigdata/goinfmax/internal/persist/failpoint"
 )
 
@@ -46,9 +43,6 @@ const magic = "IMORCL1\n"
 // version (forward and backward) — a version bump means a rebuild, never
 // a misparse.
 const FormatVersion = 1
-
-// crcTable is CRC-32C (Castagnoli), hardware-accelerated on amd64/arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Reason classifies why a snapshot failed to load, for log lines and the
 // recovery test matrix.
@@ -127,145 +121,9 @@ type Header struct {
 	Nodes int32
 }
 
-// tornWriter silently discards every byte past its budget while
-// reporting success — the failpoint model of a kernel that acknowledged
-// writes it never persisted. The resulting renamed-but-incomplete file is
-// exactly the torn snapshot the checksum ladder must reject.
-type tornWriter struct {
-	w         io.Writer
-	remaining int64
-}
-
-func (t *tornWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	if t.remaining <= 0 {
-		return n, nil
-	}
-	keep := int64(n)
-	if keep > t.remaining {
-		keep = t.remaining
-	}
-	if _, err := t.w.Write(p[:keep]); err != nil {
-		return 0, err
-	}
-	t.remaining -= keep
-	return n, nil
-}
-
-// writeAtomic writes the bytes produced by encode to path with the full
-// durability protocol: temp file in the same directory → fsync → rename
-// over path → fsync the directory. The payload is framed with the magic,
-// version and a trailing whole-file CRC-32C. On any error the temp file
-// is removed and the previous snapshot at path (if any) is untouched.
-func writeAtomic(path string, encode func(w io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	if err := failpoint.Check("persist.mkdir"); err != nil {
-		return fmt.Errorf("persist: create snapshot directory %s: %w", dir, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("persist: create snapshot directory: %w", err)
-	}
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
-	if err != nil {
-		return fmt.Errorf("persist: create temp snapshot: %w", err)
-	}
-	tmp := f.Name()
-	committed := false
-	defer func() {
-		if !committed {
-			// Best-effort cleanup of the uncommitted temp file; the write
-			// already failed and that error is the one to surface.
-			_ = f.Close()
-			_ = os.Remove(tmp)
-		}
-	}()
-
-	var out io.Writer = f
-	if limit, ok := failpoint.Value("persist.write.torn"); ok {
-		out = &tornWriter{w: f, remaining: limit}
-	}
-	bw := bufio.NewWriterSize(out, 1<<20)
-	crc := crc32.New(crcTable)
-	// Payload bytes hit the CRC at write time (pre-buffering), so the sum
-	// is complete the moment encode returns; only the buffered file side
-	// can tear.
-	tee := io.MultiWriter(crc, bw)
-
-	if _, err := io.WriteString(tee, magic); err != nil {
-		return fmt.Errorf("persist: write magic: %w", err)
-	}
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], FormatVersion)
-	if _, err := tee.Write(ver[:]); err != nil {
-		return fmt.Errorf("persist: write version: %w", err)
-	}
-	if err := failpoint.Check("persist.write"); err != nil {
-		return fmt.Errorf("persist: write payload: %w", err)
-	}
-	if err := encode(tee); err != nil {
-		return fmt.Errorf("persist: encode payload: %w", err)
-	}
-	var trail [4]byte
-	binary.LittleEndian.PutUint32(trail[:], crc.Sum32())
-	if _, err := bw.Write(trail[:]); err != nil {
-		return fmt.Errorf("persist: write checksum: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("persist: flush snapshot: %w", err)
-	}
-	if err := syncFile(f); err != nil {
-		return fmt.Errorf("persist: fsync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: close snapshot: %w", err)
-	}
-	if err := renameFile(tmp, path); err != nil {
-		return fmt.Errorf("persist: commit snapshot: %w", err)
-	}
-	committed = true
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("persist: fsync snapshot directory: %w", err)
-	}
-	return nil
-}
-
-// syncFile is (*os.File).Sync behind the persist.sync failpoint.
-func syncFile(f *os.File) error {
-	if err := failpoint.Check("persist.sync"); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// renameFile is os.Rename behind the persist.rename failpoint.
-func renameFile(oldpath, newpath string) error {
-	if err := failpoint.Check("persist.rename"); err != nil {
-		return err
-	}
-	return os.Rename(oldpath, newpath)
-}
-
-// syncDir fsyncs the directory so the rename itself is durable: without
-// it a power loss can forget the directory entry while keeping the
-// inode. Behind the persist.dirsync failpoint.
-func syncDir(dir string) error {
-	if err := failpoint.Check("persist.dirsync"); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
-}
-
-// readVerified reads path and runs the envelope ladder — existence, size,
-// magic, version, CRC — returning the payload bytes between the version
-// field and the checksum trailer. Read-side failpoints (persist.read,
+// readVerified reads path and checks that it exists and that its envelope
+// verifies (durable.Verify), returning the payload bytes between the
+// version field and the checksum trailer. Read-side failpoints (persist.read,
 // persist.read.short, persist.read.corrupt) apply before any check, so
 // every verification step is drivable from tests.
 func readVerified(path string) ([]byte, *LoadError) {
@@ -292,21 +150,22 @@ func readVerified(path string) ([]byte, *LoadError) {
 		data = mutated
 	}
 
-	// Envelope: magic(8) + version(4) + payload + crc(4).
-	const envelope = len(magic) + 4 + 4
-	if len(data) < envelope {
-		return nil, loadErrf(path, ReasonTruncated, "%d bytes, envelope needs at least %d", len(data), envelope)
+	payload, err := durable.Verify(data, magic, FormatVersion)
+	if err != nil {
+		return nil, loadErrf(path, envelopeReason(err), "%v", err)
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, loadErrf(path, ReasonBadMagic, "leading bytes %q are not an oracle snapshot", data[:len(magic)])
+	return payload, nil
+}
+
+// envelopeReason names the rung of the envelope ladder err failed at.
+func envelopeReason(err error) Reason {
+	switch {
+	case errors.Is(err, durable.ErrTruncated):
+		return ReasonTruncated
+	case errors.Is(err, durable.ErrMagic):
+		return ReasonBadMagic
+	case errors.Is(err, durable.ErrVersion):
+		return ReasonVersion
 	}
-	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != FormatVersion {
-		return nil, loadErrf(path, ReasonVersion, "format version %d, this build reads %d", v, FormatVersion)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, loadErrf(path, ReasonChecksum, "crc32c %08x, trailer says %08x", got, want)
-	}
-	return body[len(magic)+4:], nil
+	return ReasonChecksum
 }

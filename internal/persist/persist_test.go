@@ -284,7 +284,7 @@ func TestCorruptedSnapshotMatrix(t *testing.T) {
 // buildTinyPoolSnapshot builds a one-DAG pool over three nodes: node 0
 // reaches node 1, and node 2 is isolated. Tarjan labels them 1, 0 and 2,
 // so the DAG's only arc is 1→0, the last four bytes of the payload.
-func buildTinyPoolSnapshot(t *testing.T) (*persist.Snapshot, persist.Header) {
+func buildTinyPoolSnapshot(t testing.TB) (*persist.Snapshot, persist.Header) {
 	t.Helper()
 	dag := graphalgo.Condense([]int64{0, 1, 1, 1}, []int32{1})
 	if want := []int32{0}; !reflect.DeepEqual(dag.To, want) {
@@ -365,9 +365,9 @@ func TestTornWriteCaughtByChecksum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "oracle.snap")
 	t.Cleanup(failpoint.Reset)
 
-	failpoint.EnableVal("persist.write.torn", 512)
+	failpoint.EnableVal("durable.write.torn", 512)
 	err := persist.Save(path, s)
-	failpoint.Disable("persist.write.torn")
+	failpoint.Disable("durable.write.torn")
 	if err != nil {
 		t.Fatalf("a torn write reports success by definition, got %v", err)
 	}
@@ -385,7 +385,7 @@ func TestSaveFailureLeavesOldSnapshot(t *testing.T) {
 	s, h := buildRRSnapshot(t)
 	t.Cleanup(failpoint.Reset)
 
-	for _, fp := range []string{"persist.mkdir", "persist.write", "persist.sync", "persist.rename"} {
+	for _, fp := range []string{"durable.mkdir", "durable.write", "durable.sync", "durable.rename"} {
 		t.Run(fp, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "oracle.snap")
@@ -423,7 +423,7 @@ func TestCrashDuringSave(t *testing.T) {
 	s, h := buildRRSnapshot(t)
 	t.Cleanup(failpoint.Reset)
 
-	for _, fp := range []string{"persist.write", "persist.sync", "persist.rename", "persist.dirsync"} {
+	for _, fp := range []string{"durable.write", "durable.sync", "durable.rename", "durable.dirsync"} {
 		t.Run(fp, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "oracle.snap")
@@ -450,7 +450,7 @@ func TestCrashDuringSave(t *testing.T) {
 			if got.RRIndex == nil || got.RRIndex.NumSets() != s.RRIndex.NumSets() {
 				t.Fatal("snapshot loaded after crash is not a complete oracle")
 			}
-			if fp != "persist.dirsync" { // before rename: file must be byte-identical to the old one
+			if fp != "durable.dirsync" { // before rename: file must be byte-identical to the old one
 				if now := readAll(t, path); !reflect.DeepEqual(now, before) {
 					t.Fatalf("crash at %s altered the committed snapshot", fp)
 				}
