@@ -93,7 +93,6 @@ func runCtx(ctx context.Context, args []string) (err error) {
 	evalSims := fs.Int("evalsims", 10000, "MC simulations for spread evaluation")
 	workers := fs.Int("workers", 1, "sampling workers for RR-set algorithms (1 = serial, the paper's measurement; seeds are identical for any value)")
 	evalWorkers := fs.Int("evalworkers", 0, "spread-evaluation workers (0 = all cores; the estimate is bit-identical for any value)")
-	stealChunk := fs.Int64("stealchunk", 0, "work-stealing claim granularity in samples/worlds (0 = automatic; results are identical for any value)")
 	budget := fs.Duration("budget", 0, "time budget for seed selection (0 = unlimited)")
 	hardBudget := fs.Duration("hardbudget", 0, "hard watchdog deadline for non-cooperative algorithms (0 = 2x budget)")
 	memBudget := fs.Int64("membudget", 0, "memory budget in bytes (0 = unlimited)")
@@ -183,7 +182,6 @@ func runCtx(ctx context.Context, args []string) (err error) {
 		TimeBudget: *budget, HardBudget: *hardBudget,
 		MemBudgetBytes: *memBudget, Workers: *workers,
 		ArenaBytes: *arenaBytes, SpillDir: *spillDir,
-		StealChunk: *stealChunk,
 	}
 
 	if *ksFlag != "" {

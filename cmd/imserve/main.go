@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string) error {
 	indexSize := fs.Int64("indexsize", 0, "index size: RR sets (rrset) or snapshots (snapshot); 0 = auto")
 	seed := fs.Uint64("seed", 42, "server seed: index build and per-request RNG derive from it")
 	workers := fs.Int("workers", 0, "sampling workers for the rrset oracle build (0 = GOMAXPROCS); the index is byte-identical for any value")
-	stealChunk := fs.Int64("stealchunk", 0, "work-stealing claim granularity for the oracle build in samples (0 = automatic; the index is byte-identical for any value)")
 	maxInFlight := fs.Int("maxinflight", 0, "admission gate capacity (0 = 4x GOMAXPROCS)")
 	cacheEntries := fs.Int("cache", 1024, "LRU response-cache entries (negative disables)")
 	budget := fs.Duration("budget", 2*time.Second, "default per-request time budget")
@@ -121,7 +120,6 @@ func run(ctx context.Context, args []string) error {
 		IndexSize:     *indexSize,
 		Seed:          *seed,
 		Workers:       *workers,
-		StealChunk:    *stealChunk,
 		SnapshotPath:  *oracleFile,
 		BuildDeadline: *buildDeadline,
 		Logf: func(format string, args ...interface{}) {

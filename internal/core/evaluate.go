@@ -69,7 +69,6 @@ func EvaluateSweepCtx(stdctx context.Context, g graph.G, cfg RunConfig, results 
 	sw := metrics.Start()
 	batch, err := evaluator(g, cfg).EvalBatch(sets, diffusion.BatchOptions{
 		Workers: cfg.EvalWorkers,
-		Chunk:   cfg.StealChunk,
 		Poll:    stdctx.Err,
 	})
 	if err != nil {

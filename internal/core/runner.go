@@ -53,12 +53,6 @@ type RunConfig struct {
 	ArenaBytes int64
 	// SpillDir hosts streaming-mode spill files ("" = system temp dir).
 	SpillDir string
-
-	// StealChunk overrides the work-stealing claim granularity of the
-	// sampling and evaluation phases, in work items (0 = automatic, sized
-	// from each batch). Results are byte-identical for any value — the
-	// knob only changes how work migrates between workers.
-	StealChunk int64
 }
 
 // DefaultRunConfig returns the paper's standard cell configuration at
@@ -164,7 +158,6 @@ func RunCtx(stdctx context.Context, alg Algorithm, g graph.G, cfg RunConfig) Res
 		Workers:         cfg.Workers,
 		ArenaBytes:      cfg.ArenaBytes,
 		SpillDir:        cfg.SpillDir,
-		StealChunk:      cfg.StealChunk,
 		memLimit:        cfg.MemBudgetBytes,
 		mem:             mem,
 		EstimatedSpread: -1,
@@ -226,7 +219,6 @@ func RunCtx(stdctx context.Context, alg Algorithm, g graph.G, cfg RunConfig) Res
 		sw = metrics.Start()
 		batch, err := evaluator(g, cfg).EvalBatch([][]graph.NodeID{o.seeds}, diffusion.BatchOptions{
 			Workers: cfg.EvalWorkers,
-			Chunk:   cfg.StealChunk,
 			Poll:    stdctx.Err,
 		})
 		res.EvalTime = sw.Elapsed()

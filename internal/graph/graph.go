@@ -199,10 +199,6 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	return nil
 }
 
-// NumEdges returns the number of edges recorded so far (before any
-// symmetrization).
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // Build finalizes the graph. Parallel edges are preserved (needed for the
 // LT-"parallel edges" weight model on multigraphs, paper §2.1.2); callers
 // wanting a simple graph should use BuildSimple.

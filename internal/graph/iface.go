@@ -109,11 +109,3 @@ func TotalInWeightOf(g G, v NodeID) float64 {
 	}
 	return s
 }
-
-// AvgDegreeOf returns the average out-degree m/n on any backend.
-func AvgDegreeOf(g G) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return float64(g.M()) / float64(g.N())
-}

@@ -60,10 +60,6 @@ func NewCoverageBuilder(n int32, spillDir string) *CoverageBuilder {
 // NumSets returns the number of sets added so far.
 func (b *CoverageBuilder) NumSets() int { return b.numSets }
 
-// SpillBytes returns the bytes written to the spill file — disk, not RAM;
-// callers report it separately from accounted memory.
-func (b *CoverageBuilder) SpillBytes() int64 { return b.spillBytes }
-
 // MemoryBytes returns the builder's resident footprint: the two per-node
 // arrays plus the write buffer. This is what belongs in Context.Account.
 func (b *CoverageBuilder) MemoryBytes() int64 {

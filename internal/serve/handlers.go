@@ -178,7 +178,8 @@ func mapOracleErr(err error) (int, string) {
 
 // serveCached answers from the LRU when possible; on miss it runs compute,
 // stores the result and serves it. compute returns the response body or an
-// (status, message) error pair.
+// (status, message) error pair. With the cache off, key is unused and
+// every request is a miss.
 func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() ([]byte, int, string)) {
 	if body, ok := s.cache.Get(key); ok {
 		s.met.cacheHit()
@@ -222,9 +223,16 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 	// across replicas regardless of their generation history; the cache key
 	// additionally embeds the oracle generation so a body computed by one
 	// generation (say, degraded) can never be replayed as another's answer.
+	// Each key is built only where it is used.
 	cur := s.lc.current()
-	reqKey := spreadCacheKey(seeds, req.EvalSims)
-	s.serveCached(w, genCacheKey(cur.gen, reqKey), func() ([]byte, int, string) {
+	var reqKey, key string
+	if s.cfg.CacheEntries > 0 || req.EvalSims > 0 {
+		reqKey = spreadCacheKey(seeds, req.EvalSims)
+	}
+	if s.cfg.CacheEntries > 0 {
+		key = genCacheKey(cur.gen, reqKey)
+	}
+	s.serveCached(w, key, func() ([]byte, int, string) {
 		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
 		resp := spreadResponse{
@@ -276,8 +284,11 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cur := s.lc.current()
-	reqKey := "seeds|k=" + strconv.Itoa(req.K)
-	s.serveCached(w, genCacheKey(cur.gen, reqKey), func() ([]byte, int, string) {
+	var key string
+	if s.cfg.CacheEntries > 0 {
+		key = genCacheKey(cur.gen, "seeds|k="+strconv.Itoa(req.K))
+	}
+	s.serveCached(w, key, func() ([]byte, int, string) {
 		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
 		seeds, spread, err := cur.oracle.Seeds(ctx, req.K)

@@ -198,10 +198,6 @@ type BootSpec struct {
 	IndexSize int64
 	Seed      uint64
 	Workers   int
-	// StealChunk tunes the build's work-stealing claim granularity
-	// (see BuildOptions.StealChunk; 0 = automatic). Not part of the
-	// snapshot compatibility key: it cannot change the built index.
-	StealChunk int64
 	// SnapshotPath, when non-empty, is tried first on boot (cold-start
 	// from a verified snapshot) and written after a successful build.
 	SnapshotPath string
@@ -356,7 +352,7 @@ func buildOracleRecover(ctx context.Context, spec BootSpec) (o Oracle, err error
 		return nil, err
 	}
 	return BuildOracle(ctx, spec.Backend, spec.Graph, spec.Model, spec.IndexSize, spec.Seed,
-		BuildOptions{Workers: spec.Workers, StealChunk: spec.StealChunk})
+		BuildOptions{Workers: spec.Workers})
 }
 
 // oracleFromSnapshot wraps a verified snapshot payload in its serving

@@ -157,9 +157,6 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// CacheLen returns the current response-cache entry count.
-func (s *Server) CacheLen() int { return s.cache.Len() }
-
 // Stats is a point-in-time snapshot of the admission and cache
 // counters, for harnesses that assert gate invariants (bounded
 // in-flight, monotone rejects) without parsing the /metrics text.
