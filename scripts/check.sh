@@ -29,10 +29,13 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# A short fuzzing run beyond the committed seed corpus, which the suite
-# above replays: the /v1 request decoder against json.Decoder.
+# Short fuzzing runs beyond the seed corpora, which the suite above
+# replays: the /v1 request decoder against json.Decoder, and the
+# snapshot loader (a typed LoadError or a working oracle, never a panic).
 echo "==> fuzz FuzzServeDecode (10s)"
 go test -run '^$' -fuzz '^FuzzServeDecode$' -fuzztime 10s ./internal/serve
+echo "==> fuzz FuzzPersistLoad (10s)"
+go test -run '^$' -fuzz '^FuzzPersistLoad$' -fuzztime 10s ./internal/persist
 
 # The imperf benchmark is a module of its own, so the root ./... never
 # reaches its smoke test: the only check that compares /v1/seeds grid
