@@ -444,16 +444,16 @@ func BenchmarkOracleSeeds(b *testing.B) {
 
 // BenchmarkOracleSeedsCold measures the one-time greedy an oracle pays
 // per generation: the first Seeds(200) on an rrset index freshly
-// rehydrated from the serving-size stored sets (θ = 4n on the youtube
+// rehydrated from the serving-size inversion (θ = 4n on the youtube
 // stand-in), as after a snapshot load. The rehydration is untimed.
 func BenchmarkOracleSeedsCold(b *testing.B) {
 	s := benchPersistSnapshot(b)
-	store := s.RRIndex.Store()
+	numSets, off, data := s.RRIndex.Inversion()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ix, err := rrset.NewIndexFromStore(s.Header.Nodes, store)
+		ix, err := rrset.NewIndexFromInversion(s.Header.Nodes, numSets, off, data)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1071,8 +1071,8 @@ func BenchmarkPersistSave(b *testing.B) {
 }
 
 // BenchmarkPersistColdStart measures booting a replica from the snapshot:
-// read, verify the envelope, decode the arena and rebuild the inversion —
-// the path that replaces the sampling build on a warm restart.
+// read, verify the envelope, then decode and validate the inversion — the
+// path that replaces the sampling build on a warm restart.
 func BenchmarkPersistColdStart(b *testing.B) {
 	s := benchPersistSnapshot(b)
 	path := b.TempDir() + "/oracle.snap"

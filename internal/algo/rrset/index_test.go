@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/sigdata/goinfmax/internal/core"
@@ -19,6 +20,13 @@ func testIndex(t *testing.T, theta int64) *Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// sameInversion reports whether two indexes hold identical inversions.
+func sameInversion(a, b *Index) bool {
+	an, ao, ad := a.Inversion()
+	bn, bo, bd := b.Inversion()
+	return an == bn && slices.Equal(ao, bo) && slices.Equal(ad, bd)
 }
 
 func TestIndexBuild(t *testing.T) {

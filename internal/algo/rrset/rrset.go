@@ -175,10 +175,10 @@ func (c *collection) problem() (*graphalgo.CoverageProblem, error) {
 }
 
 // cover runs greedy max-cover for k seeds and returns them with the covered
-// fraction F(S). GreedyMaxCover allocates its Seeds slice fresh on every
-// call (it shares no memory with the problem), so the result is returned
-// without a defensive copy. In streaming mode the transient inversion is
-// accounted for the duration of the greedy.
+// fraction F(S). The seeds are a read-only prefix of the problem's greedy
+// order, returned without a copy: the selectors hand them on unmodified.
+// In streaming mode the transient inversion is accounted for the duration
+// of the greedy.
 func (c *collection) cover(k int) ([]graph.NodeID, float64, error) {
 	cp, err := c.problem()
 	if err != nil {

@@ -135,13 +135,16 @@ func NewPoolFromDAGs(n int32, dags []*graphalgo.Condensation) (*Pool, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("snapshot: pool node count %d out of range", n)
 	}
+	// Every DAG is checked before their count sizes the n·R labels, so a
+	// corrupt snapshot cannot allocate more than it holds.
+	for i, dag := range dags {
+		if err := validateDAG(n, dag); err != nil {
+			return nil, fmt.Errorf("snapshot: DAG %d: %w", i, err)
+		}
+	}
 	b := newPoolBuilder(n, len(dags))
 	for i, dag := range dags {
-		err := validateDAG(n, dag)
-		if err == nil {
-			_, err = b.add(dag)
-		}
-		if err != nil {
+		if _, err := b.add(dag); err != nil {
 			return nil, fmt.Errorf("snapshot: DAG %d: %w", i, err)
 		}
 	}

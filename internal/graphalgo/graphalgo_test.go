@@ -242,8 +242,8 @@ func TestGreedyMaxCoverExact(t *testing.T) {
 	if res.NumCovered != 4 || res.Fraction != 1 {
 		t.Fatalf("covered %d frac %v", res.NumCovered, res.Fraction)
 	}
-	if res.PerSeedCovered[0] != 3 || res.PerSeedCovered[1] != 1 {
-		t.Fatalf("per-seed %v", res.PerSeedCovered)
+	if gains := marginals(cp, 2); gains[0] != 3 || gains[1] != 1 {
+		t.Fatalf("per-seed %v", gains)
 	}
 }
 

@@ -1,6 +1,7 @@
 package graphalgo
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -100,6 +101,53 @@ func NewCoverageProblem(n int32, sets *SetStore) *CoverageProblem {
 	return cp
 }
 
+// NewCoverageProblemFromInversion adopts a membership index in the layout
+// Inversion returns, over n nodes and numSets sets, after checking that it
+// is one: off has n+1 entries and frames data (SetStoreFromRaw's rules),
+// and every node's run lists set ids in [0, numSets) in strictly
+// ascending order. It runs no counting pass: a node's degree is its run's
+// length. The problem adopts off and data; the caller must not modify
+// them. A problem built this way equals NewCoverageProblem over the sets
+// the inversion was taken from.
+func NewCoverageProblemFromInversion(n int32, numSets int, off []int64, data []int32) (*CoverageProblem, error) {
+	if n < 0 || numSets < 0 || len(off) != int(n)+1 {
+		return nil, fmt.Errorf("coverage: %d offsets for %d nodes and %d sets", len(off), n, numSets)
+	}
+	if _, err := SetStoreFromRaw(data, off); err != nil {
+		return nil, fmt.Errorf("coverage: %w", err)
+	}
+	degree := make([]int64, n)
+	for v := range n {
+		prev := int32(-1)
+		for _, si := range data[off[v]:off[v+1]] {
+			if si <= prev || int(si) >= numSets {
+				return nil, fmt.Errorf("coverage: node %d lists set %d after %d, want ascending ids below %d", v, si, prev, numSets)
+			}
+			prev = si
+		}
+		degree[v] = off[v+1] - off[v]
+	}
+	cp := &CoverageProblem{degree: degree, covered: NewBitset(numSets)}
+	cp.inv.Store(&inversion{numSets: numSets, off: off, data: data, prev: noSets})
+	return cp, nil
+}
+
+// Inversion returns the membership index as one CSR over all NumSets
+// sets: data[off[v]:off[v+1]] lists the sets that contain node v, in
+// ascending order. The arrays are the problem's own and must not be
+// modified. It is defined for a problem built in one step, whose
+// inversion is one segment; calling it after a Grow added sets is a bug.
+func (cp *CoverageProblem) Inversion() (numSets int, off []int64, data []int32) {
+	switch inv := cp.inv.Load(); {
+	case inv == noSets:
+		return 0, make([]int64, len(cp.degree)+1), nil
+	case inv.prev != noSets:
+		panic("graphalgo: Inversion of a coverage problem grown by segments")
+	default:
+		return inv.numSets, inv.off, inv.data
+	}
+}
+
 // Grow inverts the sets of store past NumSets into a new segment of the
 // inversion, with one counting pass and one scatter pass over the new
 // sets only. store must hold the sets the problem was built from as its
@@ -170,13 +218,13 @@ func (cp *CoverageProblem) Grow(sets *SetStore) {
 	cp.covered, cp.lazy, cp.pad = NewBitset(numSets), nil, 0
 }
 
-// MaxCoverResult reports the greedy max-cover outcome.
+// MaxCoverResult reports the greedy max-cover outcome. Seeds is a
+// read-only prefix of the problem's greedy order: callers must not modify
+// it.
 type MaxCoverResult struct {
 	Seeds      []int32
 	NumCovered int64   // sets covered by Seeds
 	Fraction   float64 // NumCovered / numSets
-	// PerSeedCovered[i] = marginal sets covered by Seeds[i].
-	PerSeedCovered []int64
 }
 
 // GreedyMaxCover picks k nodes maximizing coverage with lazy evaluation.
@@ -198,8 +246,9 @@ func (cp *CoverageProblem) GreedyMaxCover(k int) MaxCoverResult {
 // kept, so the next call resumes. Online serving uses it to honor
 // per-request deadlines.
 // poll runs with the problem's mutex held: it must return promptly and
-// must not call back into the problem. res.Seeds is freshly allocated on
-// every call and shares no memory with the problem's internal state.
+// must not call back into the problem. res.Seeds is the order's own first
+// k picks, capped at k, so a warm call allocates nothing; the picks never
+// change once made, and callers must not modify them.
 func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCoverResult, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -208,14 +257,7 @@ func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCove
 		return MaxCoverResult{}, err
 	}
 	g := cp.lazy
-	res := MaxCoverResult{
-		Seeds:          append([]int32(nil), g.seeds[:k]...),
-		NumCovered:     int64(g.spread[k]),
-		PerSeedCovered: make([]int64, k),
-	}
-	for i := range res.PerSeedCovered {
-		res.PerSeedCovered[i] = int64(g.spread[i+1] - g.spread[i])
-	}
+	res := MaxCoverResult{Seeds: g.seeds[:k:k], NumCovered: int64(g.spread[k])}
 	if numSets := cp.inv.Load().numSets; numSets > 0 {
 		res.Fraction = float64(res.NumCovered) / float64(numSets)
 	}

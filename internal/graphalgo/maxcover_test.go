@@ -83,14 +83,15 @@ func TestGreedyMatchesNaive(t *testing.T) {
 		store := randomStore(r, n, numSets, 8)
 		k := 1 + int(r.Int31n(n))
 
-		res, err := NewCoverageProblem(n, store).GreedyMaxCoverPoll(k, nil)
+		cp := NewCoverageProblem(n, store)
+		res, err := cp.GreedyMaxCoverPoll(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seeds, gains := naiveGreedy(n, store, k)
-		if !slices.Equal(res.Seeds, seeds) || !slices.Equal(res.PerSeedCovered, gains) {
+		if got := marginals(cp, k); !slices.Equal(res.Seeds, seeds) || !slices.Equal(got, gains) {
 			t.Fatalf("trial %d (n=%d sets=%d k=%d):\ngreedy seeds %v gains %v\nnaive  seeds %v gains %v",
-				trial, n, numSets, k, res.Seeds, res.PerSeedCovered, seeds, gains)
+				trial, n, numSets, k, res.Seeds, got, seeds, gains)
 		}
 	}
 }
@@ -181,6 +182,16 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
+// marginals returns the sets each of the first k picks newly covers,
+// read off the covered counts of the order's prefixes.
+func marginals(cp *CoverageProblem, k int) []int64 {
+	gains := make([]int64, k)
+	for i := range gains {
+		gains[i] = cp.GreedyMaxCover(i+1).NumCovered - cp.GreedyMaxCover(i).NumCovered
+	}
+	return gains
+}
+
 // memberships returns the indices of the sets containing node v in
 // ascending order: its runs in every segment, oldest segment first.
 func (cp *CoverageProblem) memberships(v int32) []int32 {
@@ -267,8 +278,9 @@ func TestGrowMatchesNewCoverageProblem(t *testing.T) {
 				}
 			}
 			gotRes, wantRes := cp.GreedyMaxCover(int(n)), ref.GreedyMaxCover(int(n))
-			if !slices.Equal(gotRes.Seeds, wantRes.Seeds) || !slices.Equal(gotRes.PerSeedCovered, wantRes.PerSeedCovered) {
-				t.Fatalf("%s: greedy order %v/%v, want %v/%v", name, gotRes.Seeds, gotRes.PerSeedCovered, wantRes.Seeds, wantRes.PerSeedCovered)
+			gotGains, wantGains := marginals(cp, int(n)), marginals(ref, int(n))
+			if !slices.Equal(gotRes.Seeds, wantRes.Seeds) || !slices.Equal(gotGains, wantGains) {
+				t.Fatalf("%s: greedy order %v/%v, want %v/%v", name, gotRes.Seeds, gotGains, wantRes.Seeds, wantGains)
 			}
 			// A Grow that adds nothing keeps the extended order.
 			lazy := cp.lazy
@@ -325,5 +337,77 @@ func TestGrowChainsSegments(t *testing.T) {
 		if got, want := cp.memberships(v), ref.memberships(v); !slices.Equal(got, want) {
 			t.Fatalf("node %d is in sets %v, want %v", v, got, want)
 		}
+	}
+}
+
+// TestInversionRoundTrip takes the inversion of random problems, with
+// empty sets, duplicate members and no sets at all, and adopts it again:
+// the adopted problem must hold the same memberships and degrees as
+// NewCoverageProblem over the same sets and pick the same order with the
+// same gains.
+func TestInversionRoundTrip(t *testing.T) {
+	r := rng.New(0x1a7)
+	for trial := 0; trial < 30; trial++ {
+		n, numSets := int32(3+r.Int31n(40)), int(r.Int31n(300))
+		if trial == 0 {
+			numSets = 0
+		}
+		ref := NewCoverageProblem(n, randomStore(r, n, numSets, 8))
+		numSets, off, data := ref.Inversion()
+		got, err := NewCoverageProblemFromInversion(n, numSets, off, data)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.NumSets() != ref.NumSets() || !slices.Equal(got.degree, ref.degree) {
+			t.Fatalf("trial %d: %d sets with degrees %v, want %d with %v", trial, got.NumSets(), got.degree, ref.NumSets(), ref.degree)
+		}
+		for v := range n {
+			if g, w := got.memberships(v), ref.memberships(v); !slices.Equal(g, w) {
+				t.Fatalf("trial %d: node %d is in sets %v, want %v", trial, v, g, w)
+			}
+		}
+		k := int(n)
+		if g, w := got.GreedyMaxCover(k).Seeds, ref.GreedyMaxCover(k).Seeds; !slices.Equal(g, w) {
+			t.Fatalf("trial %d: adopted order %v, want %v", trial, g, w)
+		}
+		if g, w := marginals(got, k), marginals(ref, k); !slices.Equal(g, w) {
+			t.Fatalf("trial %d: adopted gains %v, want %v", trial, g, w)
+		}
+	}
+}
+
+// TestNewCoverageProblemFromInversionRejects breaks one rule of the
+// inversion per case; each must be refused before anything is adopted.
+func TestNewCoverageProblemFromInversionRejects(t *testing.T) {
+	// Three nodes over three sets: node 0 in {0, 2}, node 1 in {1}, node 2
+	// in none.
+	valid := func() (int, []int64, []int32) { return 3, []int64{0, 2, 3, 3}, []int32{0, 2, 1} }
+	numSets, off, data := valid()
+	if _, err := NewCoverageProblemFromInversion(3, numSets, off, data); err != nil {
+		t.Fatalf("valid inversion refused: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(numSets *int, off *[]int64, data *[]int32)
+	}{
+		{"offsets-short-of-nodes", func(_ *int, off *[]int64, _ *[]int32) { *off = (*off)[:3] }},
+		{"offsets-past-data", func(_ *int, off *[]int64, _ *[]int32) { (*off)[3] = 4 }},
+		{"offsets-short-of-data", func(_ *int, _ *[]int64, data *[]int32) { *data = append(*data, 0) }},
+		{"offsets-not-from-zero", func(_ *int, off *[]int64, _ *[]int32) { (*off)[0] = 1 }},
+		{"decreasing-offset", func(_ *int, off *[]int64, _ *[]int32) { (*off)[2] = 1 }},
+		{"run-descending", func(_ *int, _ *[]int64, data *[]int32) { (*data)[0], (*data)[1] = 2, 0 }},
+		{"run-repeats", func(_ *int, _ *[]int64, data *[]int32) { (*data)[1] = 0 }},
+		{"set-id-past-sets", func(numSets *int, _ *[]int64, _ *[]int32) { *numSets = 2 }},
+		{"negative-set-id", func(_ *int, _ *[]int64, data *[]int32) { (*data)[2] = -1 }},
+		{"negative-sets", func(numSets *int, _ *[]int64, _ *[]int32) { *numSets = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			numSets, off, data := valid()
+			tc.mutate(&numSets, &off, &data)
+			if _, err := NewCoverageProblemFromInversion(3, numSets, off, data); err == nil {
+				t.Fatalf("accepted %d sets, off %v, data %v", numSets, off, data)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Binary codec primitives
 //
 // The snapshot payload is dominated by a handful of huge int32/int64
-// arrays (the RR-set arena, the condensation CSRs). encoding/binary's
+// arrays (the RR-set inversion, the condensation CSRs). encoding/binary's
 // reflective Write would walk them element-by-element through an
 // interface; these helpers instead batch-convert through a reusable
 // little-endian chunk buffer, which keeps encode/decode memory-bandwidth

@@ -1,16 +1,12 @@
 package persist_test
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"github.com/sigdata/goinfmax/internal/algo/rrset"
 	"github.com/sigdata/goinfmax/internal/graph"
-	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/persist"
 )
 
@@ -18,26 +14,19 @@ import (
 // and as the payload behind a valid envelope and the expected header, so
 // the fuzzer reaches the rrset and pool decoders past the checksum. Every
 // outcome must be a *LoadError or an oracle that answers SpreadOf and
-// SelectSeeds without panicking. pool selects which backend the header
+// SelectSeeds without panicking, and no load may allocate more than a
+// fixed multiple of its file. pool selects which backend the header
 // names.
 func FuzzPersistLoad(f *testing.F) {
-	// Both seeds are three-node oracles under the same header values.
+	// Both seeds are three-node oracles under the same header values,
+	// saved in the current format: the rrset one holds tinyInversion.
+	rr, rrHeader := buildTinyRRSnapshot(f)
 	pool, poolHeader := buildTinyPoolSnapshot(f)
-	store, err := graphalgo.SetStoreFromRaw([]int32{0, 1, 1, 2, 0}, []int64{0, 2, 3, 5})
-	if err != nil {
-		f.Fatal(err)
-	}
-	ix, err := rrset.NewIndexFromStore(3, store)
-	if err != nil {
-		f.Fatal(err)
-	}
-	rrHeader := poolHeader
-	rrHeader.Backend = "rrset"
 
 	// prefix[pool] is a saved file's magic, version and encoded header;
 	// what follows it up to the checksum is the backend's payload.
 	var prefix [2][]byte
-	for i, s := range []*persist.Snapshot{{Header: rrHeader, RRIndex: ix}, pool} {
+	for i, s := range []*persist.Snapshot{rr, pool} {
 		path := filepath.Join(f.TempDir(), "seed.snap")
 		if err := persist.Save(path, s); err != nil {
 			f.Fatal(err)
@@ -46,10 +35,8 @@ func FuzzPersistLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		// magic(8) + version(4) + backend(1+len) + fingerprint, seed, size (8 each) + nodes(4)
-		n := 12 + 1 + len(s.Header.Backend) + 28
-		prefix[i] = file[:n]
-		payload := file[n : len(file)-4]
+		var payload []byte
+		prefix[i], payload = splitSnapshot(file, s.Header)
 		flipped := append([]byte(nil), payload...)
 		flipped[len(flipped)/3] ^= 0xFF
 		isPool := i == 1
@@ -64,10 +51,8 @@ func FuzzPersistLoad(f *testing.F) {
 		if isPool {
 			h, pre = poolHeader, prefix[1]
 		}
-		framed := append(append([]byte(nil), pre...), data...)
-		framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(framed, crc32.MakeTable(crc32.Castagnoli)))
 		dir := t.TempDir()
-		for i, file := range [][]byte{data, framed} {
+		for i, file := range [][]byte{data, frame(pre, data)} {
 			path := filepath.Join(dir, fmt.Sprintf("%d.snap", i))
 			if err := os.WriteFile(path, file, 0o644); err != nil {
 				t.Fatal(err)
@@ -78,9 +63,16 @@ func FuzzPersistLoad(f *testing.F) {
 }
 
 // checkLoaded loads path and requires a typed LoadError or a working
-// oracle.
+// oracle, from a load that allocated within allocBound.
 func checkLoaded(t *testing.T, path string, h persist.Header) {
 	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc, _ := loadAlloc(path, h); alloc > allocBound(fi.Size(), h.Nodes) {
+		t.Fatalf("Load of a %d-byte file allocated %d B, above %d", fi.Size(), alloc, allocBound(fi.Size(), h.Nodes))
+	}
 	s, err := persist.Load(path, h)
 	if err != nil {
 		if _, ok := persist.AsLoadError(err); !ok {

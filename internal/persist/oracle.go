@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/sigdata/goinfmax/internal/algo/rrset"
@@ -21,9 +20,11 @@ type Snapshot struct {
 }
 
 // Save writes the snapshot to path with the atomic, checksummed protocol
-// (see durable.WriteEnvelope). Only primary state is persisted — the
-// RR-set arena or the condensation DAGs — never derived indexes, which
-// the load path rebuilds so they cannot go stale.
+// (see durable.WriteEnvelope). Each backend persists the one form of its
+// state it keeps: the RR index's inversion (u64 θ | int64s off, n+1 |
+// int32s data, each node's run of set ids strictly ascending), or the
+// pool's condensation DAGs, whose priors and layout the load path derives
+// again.
 func Save(path string, s *Snapshot) error {
 	return durable.WriteEnvelope(path, magic, FormatVersion, func(w io.Writer) error {
 		e := newEncoder(w)
@@ -34,15 +35,10 @@ func Save(path string, s *Snapshot) error {
 		e.i32(s.Header.Nodes)
 		switch {
 		case s.RRIndex != nil:
-			if s.RRIndex.Store() == nil {
-				// Streaming builds keep only the inversion; there are no
-				// raw sets to serialize. The serve layer logs and keeps
-				// serving without a snapshot.
-				return fmt.Errorf("persist: streamed RR index is not persistable")
-			}
-			data, off := s.RRIndex.Store().Raw()
-			e.int32s(data)
+			numSets, off, data := s.RRIndex.Inversion()
+			e.u64(uint64(numSets))
 			e.int64s(off)
+			e.int32s(data)
 		case s.Pool != nil:
 			dags := s.Pool.DAGs()
 			e.u32(uint32(len(dags)))
@@ -97,18 +93,20 @@ func Load(path string, want Header) (*Snapshot, error) {
 	out := &Snapshot{Header: got}
 	switch got.Backend {
 	case "rrset":
-		data := d.int32s()
+		numSets := d.u64()
 		off := d.int64s()
+		data := d.int32s()
 		if err := d.err(); err != nil {
-			return nil, loadErrf(path, ReasonCorrupt, "rrset arena: %v", err)
+			return nil, loadErrf(path, ReasonCorrupt, "rrset inversion: %v", err)
 		}
-		store, err := graphalgo.SetStoreFromRaw(data, off)
-		if err != nil {
-			return nil, loadErrf(path, ReasonCorrupt, "rrset arena: %v", err)
+		// Every RR set holds its root, so θ is at most the memberships
+		// listed. The bound comes before θ sizes the cover marks.
+		if numSets > uint64(len(data)) {
+			return nil, loadErrf(path, ReasonCorrupt, "rrset inversion: %d sets but %d memberships", numSets, len(data))
 		}
-		ix, err := rrset.NewIndexFromStore(got.Nodes, store)
+		ix, err := rrset.NewIndexFromInversion(got.Nodes, int(numSets), off, data)
 		if err != nil {
-			return nil, loadErrf(path, ReasonCorrupt, "rrset index: %v", err)
+			return nil, loadErrf(path, ReasonCorrupt, "rrset inversion: %v", err)
 		}
 		out.RRIndex = ix
 	case "snapshot":

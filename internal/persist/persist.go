@@ -1,6 +1,6 @@
 // Package persist implements the crash-safe oracle snapshot store behind
 // imserve's -oraclefile: a versioned, CRC-checksummed binary codec for
-// the built influence oracles (the RR-set arena and the condensed
+// the built influence oracles (the RR-set inversion and the condensed
 // snapshot pool), written atomically so that no crash — at any byte — can
 // leave a half-snapshot that loads.
 //
@@ -42,7 +42,7 @@ const magic = "IMORCL1\n"
 // FormatVersion is the snapshot format version. Loaders reject any other
 // version (forward and backward) — a version bump means a rebuild, never
 // a misparse.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Reason classifies why a snapshot failed to load, for log lines and the
 // recovery test matrix.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sigdata/goinfmax/internal/algo/rrset"
@@ -97,12 +98,12 @@ func TestRoundTripRRSet(t *testing.T) {
 	if got.RRIndex.NumSets() != s.RRIndex.NumSets() {
 		t.Fatalf("NumSets = %d, want %d", got.RRIndex.NumSets(), s.RRIndex.NumSets())
 	}
-	wd, wo := s.RRIndex.Store().Raw()
-	gd, gaTimes := got.RRIndex.Store().Raw()
-	if !reflect.DeepEqual(wd, gd) || !reflect.DeepEqual(wo, gaTimes) {
-		t.Fatal("rehydrated arena differs from the saved one")
+	wn, wo, wd := s.RRIndex.Inversion()
+	gn, gaTimes, gd := got.RRIndex.Inversion()
+	if wn != gn || !reflect.DeepEqual(wd, gd) || !reflect.DeepEqual(wo, gaTimes) {
+		t.Fatal("adopted inversion differs from the saved one")
 	}
-	// The rebuilt inversion must answer identically to the original.
+	// The adopted inversion must answer identically to the original.
 	wantSeeds, wantSpread, err := s.RRIndex.SelectSeeds(5, noPoll)
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +245,13 @@ func TestCorruptedSnapshotMatrix(t *testing.T) {
 		{"bad-magic", func(t *testing.T, path string) {
 			flipByteAt(t, path, 0)
 		}, persist.ReasonBadMagic, false},
+		{"version-1", func(t *testing.T, path string) {
+			// A file of the format that persisted the sampled arena: the
+			// version rung refuses it before its payload is read.
+			data := readAll(t, path)
+			binary.LittleEndian.PutUint32(data[8:], 1)
+			rewriteWithChecksum(t, path, data[:len(data)-4])
+		}, persist.ReasonVersion, false},
 		{"stale-version", func(t *testing.T, path string) {
 			// Rewrite the version field to a future format and fix the CRC
 			// so version-mismatch (not checksum) is what fires.
@@ -278,6 +286,214 @@ func TestCorruptedSnapshotMatrix(t *testing.T) {
 			_, err := persist.Load(path, h)
 			wantReason(t, err, tc.want)
 		})
+	}
+}
+
+// buildTinyRRSnapshot builds an RR index over three nodes from the sets
+// {0, 1}, {1} and {2, 0}: its inversion is tinyInversion.
+func buildTinyRRSnapshot(t testing.TB) (*persist.Snapshot, persist.Header) {
+	t.Helper()
+	store := graphalgo.StoreOf([]int32{0, 1}, []int32{1}, []int32{2, 0})
+	ix, err := rrset.NewIndexFromStore(3, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := persist.Header{Backend: "rrset", Fingerprint: 1, BuildSeed: 1, IndexSize: 1, Nodes: 3}
+	return &persist.Snapshot{Header: h, RRIndex: ix}, h
+}
+
+// tinyInversion is buildTinyRRSnapshot's inversion: node 0 is in sets 0
+// and 2, node 1 in sets 0 and 1, node 2 in set 2.
+func tinyInversion() (numSets uint64, off []int64, data []int32) {
+	return 3, []int64{0, 2, 4, 5}, []int32{0, 2, 0, 1, 2}
+}
+
+// rrPayload encodes a version-2 rrset body by hand: u64 θ, then off and
+// data, each behind its u64 length.
+func rrPayload(numSets uint64, off []int64, data []int32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, numSets)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(off)))
+	for _, o := range off {
+		b = binary.LittleEndian.AppendUint64(b, uint64(o))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(data)))
+	for _, v := range data {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// splitSnapshot splits a saved file into its prefix (magic, version and
+// encoded header) and its backend payload, dropping the checksum.
+func splitSnapshot(file []byte, h persist.Header) (prefix, payload []byte) {
+	// magic(8) + version(4) + backend(1+len) + fingerprint, seed, size (8 each) + nodes(4)
+	n := 12 + 1 + len(h.Backend) + 28
+	return file[:n], file[n : len(file)-4]
+}
+
+// frame appends payload to prefix and seals both with the CRC-32C
+// trailer, so a mutated payload gets past the envelope to the decoder.
+func frame(prefix, payload []byte) []byte {
+	file := append(append([]byte(nil), prefix...), payload...)
+	return binary.LittleEndian.AppendUint32(file, crc32.Checksum(file, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestVersion2Layout pins the rrset body to its documented layout: a file
+// framed around a hand-encoded inversion is byte-identical to Save's.
+func TestVersion2Layout(t *testing.T) {
+	s, h := buildTinyRRSnapshot(t)
+	path := filepath.Join(t.TempDir(), "oracle.snap")
+	mustSave(t, path, s)
+	file := readAll(t, path)
+	if v := binary.LittleEndian.Uint32(file[8:]); v != 2 || persist.FormatVersion != 2 {
+		t.Fatalf("saved version %d, FormatVersion %d, want 2", v, persist.FormatVersion)
+	}
+	prefix, _ := splitSnapshot(file, h)
+	if want := frame(prefix, rrPayload(tinyInversion())); !reflect.DeepEqual(file, want) {
+		t.Fatalf("saved file\n%x\nwant\n%x", file, want)
+	}
+}
+
+// TestCorruptInversionRefused breaks one rule of the persisted inversion
+// per case, behind a valid envelope and header: each must be refused as a
+// corrupt payload, never adopted and never a panic.
+func TestCorruptInversionRefused(t *testing.T) {
+	s, h := buildTinyRRSnapshot(t)
+	path := filepath.Join(t.TempDir(), "oracle.snap")
+	mustSave(t, path, s)
+	prefix, _ := splitSnapshot(readAll(t, path), h)
+	cases := []struct {
+		name   string
+		mutate func(numSets *uint64, off *[]int64, data *[]int32)
+	}{
+		{"offsets-do-not-frame-data", func(_ *uint64, off *[]int64, _ *[]int32) { (*off)[3] = 6 }},
+		{"decreasing-offset", func(_ *uint64, off *[]int64, _ *[]int32) { (*off)[2] = 1 }},
+		{"run-not-ascending", func(_ *uint64, _ *[]int64, data *[]int32) { (*data)[0], (*data)[1] = 2, 0 }},
+		{"run-repeats-a-set", func(_ *uint64, _ *[]int64, data *[]int32) { (*data)[3] = 0 }},
+		{"set-id-past-theta", func(_ *uint64, _ *[]int64, data *[]int32) { (*data)[1] = 3 }},
+		{"offsets-not-nodes-plus-one", func(_ *uint64, off *[]int64, _ *[]int32) { *off = []int64{0, 2, 5} }},
+		{"theta-past-payload", func(numSets *uint64, _ *[]int64, _ *[]int32) { *numSets = 1 << 28 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			numSets, off, data := tinyInversion()
+			tc.mutate(&numSets, &off, &data)
+			bad := filepath.Join(t.TempDir(), "bad.snap")
+			if err := os.WriteFile(bad, frame(prefix, rrPayload(numSets, off, data)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := persist.Load(bad, h)
+			wantReason(t, err, persist.ReasonCorrupt)
+		})
+	}
+}
+
+// loadAlloc loads path and returns the bytes the load allocated.
+func loadAlloc(path string, h persist.Header) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := persist.Load(path, h)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// allocBound is the most one Load may allocate for a file of size bytes
+// over n nodes: a fixed multiple of the file plus O(n).
+func allocBound(size int64, n int32) uint64 {
+	return uint64(8*size + 64*int64(n) + 64<<10)
+}
+
+// TestLoadAllocationBounded: a load allocates no more than a fixed
+// multiple of the file plus O(n), whatever counts the file claims. A
+// valid oracle stays under it, and so do a θ of 2^28 behind five
+// memberships, which would size 32 MiB of cover marks, and a pool of a
+// hundred empty DAGs over a 100,000-node graph, which would size 40 MB of
+// labels.
+func TestLoadAllocationBounded(t *testing.T) {
+	dir := t.TempDir()
+	check := func(name string, path string, h persist.Header, wantErr bool) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, err := loadAlloc(path, h)
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: Load error %v, want error %v", name, err, wantErr)
+		}
+		if bound := allocBound(fi.Size(), h.Nodes); alloc > bound {
+			t.Fatalf("%s: Load of a %d-byte file over %d nodes allocated %d B, above %d", name, fi.Size(), h.Nodes, alloc, bound)
+		}
+	}
+	for _, build := range []func(*testing.T) (*persist.Snapshot, persist.Header){buildRRSnapshot, buildPoolSnapshot} {
+		s, h := build(t)
+		path := filepath.Join(dir, h.Backend+".snap")
+		mustSave(t, path, s)
+		check(h.Backend, path, h, false)
+	}
+
+	s, h := buildTinyRRSnapshot(t)
+	path := filepath.Join(dir, "tiny.snap")
+	mustSave(t, path, s)
+	prefix, _ := splitSnapshot(readAll(t, path), h)
+	_, off, data := tinyInversion()
+	if err := os.WriteFile(path, frame(prefix, rrPayload(1<<28, off, data)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("theta 2^28", path, h, true)
+
+	pool, ph := buildTinyPoolSnapshot(t)
+	path = filepath.Join(dir, "pool.snap")
+	mustSave(t, path, pool)
+	prefix, _ = splitSnapshot(readAll(t, path), ph)
+	// The header names a 100,000-node graph; each DAG is an NComp and four
+	// empty arrays, 36 bytes.
+	const nodes, dags = 100_000, 100
+	binary.LittleEndian.PutUint32(prefix[len(prefix)-4:], nodes)
+	ph.Nodes = nodes
+	payload := binary.LittleEndian.AppendUint32(nil, dags)
+	for range dags {
+		payload = binary.LittleEndian.AppendUint32(payload, 1)
+		payload = append(payload, make([]byte, 32)...)
+	}
+	if err := os.WriteFile(path, frame(prefix, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("pool of empty DAGs", path, ph, true)
+}
+
+// TestSnapshotIdenticalAcrossBuilds: the inversion a snapshot persists is
+// a function of the seed alone, so files saved from a materialized build,
+// a streamed one and builds at 1 and 4 workers are byte-identical.
+func TestSnapshotIdenticalAcrossBuilds(t *testing.T) {
+	g := testGraph()
+	h := persist.Header{
+		Backend:     "rrset",
+		Fingerprint: persist.GraphFingerprint(g, weights.IC.String()),
+		BuildSeed:   7,
+		IndexSize:   2000,
+		Nodes:       g.N(),
+	}
+	var want []byte
+	for _, b := range []struct {
+		name    string
+		arena   int64
+		workers int
+	}{{"materialized-1", 0, 1}, {"materialized-4", 0, 4}, {"streamed-1", 4096, 1}, {"streamed-4", 4096, 4}} {
+		ctx := core.NewContext(g, weights.IC, 1, h.BuildSeed)
+		ctx.ArenaBytes, ctx.Workers, ctx.SpillDir = b.arena, b.workers, t.TempDir()
+		ix, err := rrset.BuildIndex(ctx, h.IndexSize)
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		path := filepath.Join(t.TempDir(), "oracle.snap")
+		mustSave(t, path, &persist.Snapshot{Header: h, RRIndex: ix})
+		got := readAll(t, path)
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot differs from the materialized serial build's", b.name)
+		}
 	}
 }
 

@@ -563,13 +563,13 @@ func FuzzServeDecode(f *testing.F) {
 
 func checkCanonical(t *testing.T, seeds []graph.NodeID, n int32) {
 	t.Helper()
-	out, err := canonicalSeeds(seeds, n)
 	in := map[graph.NodeID]bool{}
 	valid := len(seeds) > 0
 	for _, v := range seeds {
 		in[v] = true
 		valid = valid && v >= 0 && v < n
 	}
+	out, err := canonicalSeeds(seeds, n) // sorts seeds in place
 	if (err == nil) != valid {
 		t.Fatalf("canonicalSeeds(%v) error %v", seeds, err)
 	}

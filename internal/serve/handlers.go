@@ -110,19 +110,19 @@ func errorBody(msg string) []byte {
 	return body
 }
 
-// canonicalSeeds validates, sorts and deduplicates a client seed set. The
-// canonical form is the cache key and the echoed response field, so two
-// requests naming the same set in different orders share one cache entry
-// and one answer.
+// canonicalSeeds validates, sorts and deduplicates a client seed set in
+// place: the request owns the slice, and nothing reads its original order.
+// The canonical form is the cache key and the echoed response field, so
+// two requests naming the same set in different orders share one cache
+// entry and one answer.
 func canonicalSeeds(seeds []graph.NodeID, n int32) ([]graph.NodeID, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("seeds must be non-empty")
 	}
-	out := slices.Clone(seeds)
-	slices.Sort(out)
-	dedup := out[:0]
+	slices.Sort(seeds)
+	dedup := seeds[:0]
 	var prev graph.NodeID = -1
-	for _, v := range out {
+	for _, v := range seeds {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("seed %d out of range [0, %d)", v, n)
 		}
@@ -233,8 +233,8 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		key = genCacheKey(cur.gen, reqKey)
 	}
 	s.serveCached(w, key, func() ([]byte, int, string) {
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
+		ctx := newDeadlineCtx(r.Context(), budget)
+		defer ctx.release()
 		resp := spreadResponse{
 			Backend: cur.oracle.Backend(), Seeds: seeds,
 			EvalSims: req.EvalSims, Degraded: cur.degraded,
@@ -289,8 +289,8 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		key = genCacheKey(cur.gen, "seeds|k="+strconv.Itoa(req.K))
 	}
 	s.serveCached(w, key, func() ([]byte, int, string) {
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
+		ctx := newDeadlineCtx(r.Context(), budget)
+		defer ctx.release()
 		seeds, spread, err := cur.oracle.Seeds(ctx, req.K)
 		if err != nil {
 			status, msg := mapOracleErr(err)

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -231,6 +233,55 @@ func TestStartOracleCorruptSnapshotFallsBackToBuild(t *testing.T) {
 	// The rebuild must have replaced the corrupt file with a loadable one.
 	if _, lerr := persist.Load(path, spec.header()); lerr != nil {
 		t.Fatalf("snapshot not repaired by rebuild: %v", lerr)
+	}
+}
+
+// TestStartOracleRebuildsVersion1Snapshot: a snapshot of the format
+// that persisted the sampled arena is refused at the version rung, and
+// the boot rebuilds the oracle and overwrites the file in the current
+// format, which the next boot loads.
+func TestStartOracleRebuildsVersion1Snapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oracle.snap")
+	spec := testBootSpec(t, nil)
+	spec.SnapshotPath = path
+	if _, err := StartOracle(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	// Stamp the file version 1 and seal it again, so the version rung,
+	// not the checksum, is what refuses it.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(body[8:], 1)
+	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.Load(path, spec.header()); err == nil {
+		t.Fatal("a version-1 snapshot loaded")
+	} else if le, ok := persist.AsLoadError(err); !ok || le.Reason != persist.ReasonVersion {
+		t.Fatalf("version-1 snapshot refused with %v, want %s", err, persist.ReasonVersion)
+	}
+
+	log := &logCapture{}
+	spec.Logf = log.logf
+	if _, err := StartOracle(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if !log.contains(string(persist.ReasonVersion)) || !log.contains("built in") || !log.contains("snapshot saved to") {
+		t.Fatalf("version-1 snapshot not rebuilt and saved:\n%s", log.dump())
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != persist.FormatVersion {
+		t.Fatalf("rebuilt snapshot has version %d, want %d", v, persist.FormatVersion)
+	}
+	if _, err := persist.Load(path, spec.header()); err != nil {
+		t.Fatalf("rebuilt snapshot unusable: %v", err)
 	}
 }
 

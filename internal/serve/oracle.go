@@ -24,7 +24,9 @@ type Oracle interface {
 	// Spread estimates σ(seeds) from the index.
 	Spread(ctx context.Context, seeds []graph.NodeID) (float64, error)
 	// Seeds selects k seeds greedily at query time and returns them with
-	// the index's spread estimate for the selected set.
+	// the index's spread estimate for the selected set. The returned slice
+	// may be shared with the oracle and other callers: it must not be
+	// modified.
 	Seeds(ctx context.Context, k int) ([]graph.NodeID, float64, error)
 	// IndexUnits returns the number of precomputed units (RR sets,
 	// snapshots) backing the oracle.

@@ -69,7 +69,8 @@ type Config struct {
 	DefaultBudget time.Duration
 	// MaxBudget caps the client-requested budget_ms (default 30s).
 	MaxBudget time.Duration
-	// MaxK caps per-request k (default 200).
+	// MaxK caps per-request k (default 200). New lowers it to the graph's
+	// node count, the most seeds an answer can hold.
 	MaxK int
 	// MaxEvalSims caps the MC refinement simulations a /v1/spread request
 	// may demand (default 20000).
@@ -128,6 +129,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errNoGraph
 	}
 	cfg = cfg.withDefaults()
+	cfg.MaxK = min(cfg.MaxK, int(cfg.Graph.N()))
 	s := &Server{
 		cfg:   cfg,
 		lc:    lc,

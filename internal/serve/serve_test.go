@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,6 +319,112 @@ func TestDeadlineCancelsOracleMidCall(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline took %v to propagate", elapsed)
+	}
+}
+
+// TestDeadlinePolledErr: an oracle that never touches Done and only polls
+// Err past its budget_ms gets the same 504 body as one that blocks on
+// Done, so the lazily armed timer changes nothing a client sees.
+func TestDeadlinePolledErr(t *testing.T) {
+	blocking := &stubOracle{
+		seeds: func(ctx context.Context, k int) ([]graph.NodeID, float64, error) {
+			<-ctx.Done()
+			return nil, 0, ctx.Err()
+		},
+	}
+	polling := &stubOracle{
+		seeds: func(ctx context.Context, k int) ([]graph.NodeID, float64, error) {
+			for ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			return nil, 0, ctx.Err()
+		},
+	}
+	var bodies [2][]byte
+	for i, oracle := range []*stubOracle{blocking, polling} {
+		_, ts := newStubServer(t, oracle, nil)
+		start := time.Now()
+		resp, body := postJSON(t, ts.URL+"/v1/seeds", `{"k":1,"budget_ms":50}`)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("oracle %d: status = %d, want 504 (body %s)", i, resp.StatusCode, body)
+		}
+		if elapsed := time.Since(start); elapsed < 50*time.Millisecond || elapsed > 5*time.Second {
+			t.Fatalf("oracle %d: answered after %v, want the 50ms budget", i, elapsed)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("polling oracle's body %s, blocking oracle's %s", bodies[1], bodies[0])
+	}
+}
+
+// TestDeadlineCtxConcurrent calls Done, Err and release from several
+// goroutines at once, for -race: whatever the interleaving, the context
+// ends released, with Done closed and Err reporting the cancellation.
+func TestDeadlineCtxConcurrent(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		ctx := newDeadlineCtx(context.Background(), time.Hour)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if g%2 == 0 {
+						_ = ctx.Err()
+					} else {
+						_ = ctx.Done()
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx.release()
+		}()
+		wg.Wait()
+		select {
+		case <-ctx.Done():
+		default:
+			t.Fatalf("trial %d: Done open after release", trial)
+		}
+		if err := ctx.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: Err = %v after release, want context.Canceled", trial, err)
+		}
+	}
+}
+
+// TestMaxKBoundedByNodes: on a graph of fewer nodes than the default MaxK
+// a k above the node count is refused with the real bound, and k equal to
+// it answers that many seeds, on both backends.
+func TestMaxKBoundedByNodes(t *testing.T) {
+	g := weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 400, 1)).(*graph.Graph)
+	n := int(g.N())
+	if n >= 200 {
+		t.Fatalf("test graph has %d nodes, want fewer than the default MaxK", n)
+	}
+	for _, backend := range Backends() {
+		t.Run(backend, func(t *testing.T) {
+			oracle, err := BuildOracle(context.Background(), backend, g, weights.IC, 2000, 42, BuildOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newStubServer(t, oracle, func(c *Config) { c.Graph = g })
+			resp, body := postJSON(t, ts.URL+"/v1/seeds", fmt.Sprintf(`{"k":%d}`, n+1))
+			want := fmt.Sprintf(`{"error":"k must be in [1, %d]"}`, n)
+			if resp.StatusCode != http.StatusBadRequest || string(body) != want {
+				t.Fatalf("k=%d: status %d body %s, want 400 %s", n+1, resp.StatusCode, body, want)
+			}
+			resp, body = postJSON(t, ts.URL+"/v1/seeds", fmt.Sprintf(`{"k":%d}`, n))
+			var sr seedsResponse
+			if err := json.Unmarshal(body, &sr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("k=%d: status %d body %s (%v)", n, resp.StatusCode, body, err)
+			}
+			if sr.K != n || len(sr.Seeds) != n {
+				t.Fatalf("k=%d: echoed k %d with %d seeds", n, sr.K, len(sr.Seeds))
+			}
+		})
 	}
 }
 

@@ -43,9 +43,11 @@ cd "$(dirname "$0")/.."
 # shapes (a prefix chain, and an IMM sweep's sets that overlap without
 # nesting), and one /v1 request through imserve's whole in-process
 # handler (admission, body decode, warm oracle query, response encode),
-# the only ratchet on the HTTP layer. A top-level alternative may name
-# sub-benchmarks: BenchmarkExt_Exclusions/PMIA runs that row alone.
-PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkSpreadEvalBatch/(batch|imm)|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA|BenchmarkServeHandler'
+# the only ratchet on the HTTP layer, and a replica's cold start from its
+# snapshot (read, verify, then decode and validate the RR inversion). A
+# top-level alternative may name sub-benchmarks:
+# BenchmarkExt_Exclusions/PMIA runs that row alone.
+PATTERN='BenchmarkRRSampleSkew|BenchmarkRRSampleBatch|BenchmarkRRSelectIMM|BenchmarkSpreadEvalSkew|BenchmarkSpreadEvalBatch/(batch|imm)|BenchmarkGreedyMaxCoverFlat|BenchmarkOracleSpread|BenchmarkOracleSeeds|BenchmarkOracleSeedsCold|BenchmarkPoolSeedsCold|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA|BenchmarkServeHandler|BenchmarkPersistColdStart'
 # The smoke set: every bench harness the repo ships, one iteration.
 SMOKE_PATTERN='BenchmarkRR|BenchmarkSpreadEval|BenchmarkGreedyMaxCover|BenchmarkPersist|BenchmarkGraphBackend|BenchmarkOracle|BenchmarkPoolSeeds|BenchmarkPoolBuild|BenchmarkTable4_LDAGvsSIMPATH|BenchmarkExt_Exclusions/PMIA|BenchmarkServeHandler'
 

@@ -29,6 +29,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Allocation pins skip under -race, whose sync.Pool drops pooled scratch
+# at random, so they run once more without it.
+echo "==> allocation pins (no race)"
+go test -count=1 -run '^TestWarmQueryAllocs$' ./internal/serve
+
 # Short fuzzing runs beyond the seed corpora, which the suite above
 # replays: the /v1 request decoder against json.Decoder, and the
 # snapshot loader (a typed LoadError or a working oracle, never a panic).
