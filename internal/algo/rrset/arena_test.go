@@ -2,16 +2,21 @@ package rrset
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/datasets"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
 
-// TestCollectionAccountingExact: the charge for a collection equals the
-// arena's true footprint, and reset credits it back to exactly zero.
+// TestCollectionAccountingExact: the charge for a collection equals what
+// it holds, the pending arena's growth plus the inversion's bytes, after
+// every extend and cover; the peak counts the arena and its inversion at
+// the moment both exist; and reset credits the charge back to exactly
+// zero.
 func TestCollectionAccountingExact(t *testing.T) {
 	g := randomWC(41, 120, 800)
 	for _, workers := range []int{1, 4} {
@@ -19,17 +24,30 @@ func TestCollectionAccountingExact(t *testing.T) {
 		ctx.Workers = workers
 		c := newCollection(ctx)
 		entry := c.store.Bytes() // the untracked footprint of an empty store
+		held := func() int64 { return c.store.Bytes() - entry + c.cp.MemoryBytes() }
 		if err := c.extend(400); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := ctx.MemUsed(), c.store.Bytes()-entry; got != want {
 			t.Fatalf("workers=%d: accounted %d want exact arena growth %d", workers, got, want)
 		}
-		if err := c.extend(900); err != nil { // second extend: delta-charged
+		if _, _, err := c.cover(3); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := ctx.MemUsed(), c.store.Bytes()-entry; got != want {
+		if got, want := ctx.MemUsed(), c.cp.MemoryBytes(); got != want || c.store.Len() != 0 {
+			t.Fatalf("workers=%d after cover: accounted %d with %d raw sets, want the inversion's %d and none", workers, got, c.store.Len(), want)
+		}
+		if err := c.extend(900); err != nil { // pending arena beside the inversion
+			t.Fatal(err)
+		}
+		if got, want := ctx.MemUsed(), held(); got != want || c.cp.NumSets() != 400 {
 			t.Fatalf("workers=%d after re-extend: accounted %d want %d", workers, got, want)
+		}
+		if _, _, err := c.cover(3); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ctx.MemUsed(), held(); got != want || c.cp.NumSets() != 900 {
+			t.Fatalf("workers=%d after second cover: accounted %d want %d", workers, got, want)
 		}
 		c.reset()
 		if got := ctx.MemUsed(); got != 0 {
@@ -41,6 +59,79 @@ func TestCollectionAccountingExact(t *testing.T) {
 		}
 		if c.size() != 50 || ctx.MemUsed() <= 0 {
 			t.Fatalf("workers=%d: post-reset extend size=%d accounted=%d", workers, c.size(), ctx.MemUsed())
+		}
+
+		sample := &sampleThenCover{theta: 900}
+		res := core.Run(gcAfterSelect{sample}, g, core.RunConfig{K: 3, Model: weights.IC, Seed: 5, Workers: workers})
+		if res.Status != core.OK {
+			t.Fatalf("workers=%d: %v %v", workers, res.Status, res.Err)
+		}
+		if want := sample.arena + sample.inversion; res.PeakMemBytes != want {
+			t.Fatalf("workers=%d: peak %d, want the arena's %d plus the inversion's %d", workers, res.PeakMemBytes, sample.arena, sample.inversion)
+		}
+	}
+}
+
+// sampleThenCover samples theta sets into one collection and covers them
+// once, recording the pending arena's growth before the cover and the
+// inversion's bytes after it.
+type sampleThenCover struct {
+	theta            int64
+	arena, inversion int64
+}
+
+func (*sampleThenCover) Name() string                   { return "sample-then-cover" }
+func (*sampleThenCover) Supports(weights.Model) bool    { return true }
+func (*sampleThenCover) Param(weights.Model) core.Param { return core.Param{} }
+
+func (a *sampleThenCover) Select(ctx *core.Context) ([]graph.NodeID, error) {
+	c := newCollection(ctx)
+	entry := c.store.Bytes()
+	if err := c.extend(a.theta); err != nil {
+		return nil, err
+	}
+	a.arena = c.store.Bytes() - entry
+	seeds, _, err := c.cover(ctx.K)
+	a.inversion = c.cp.MemoryBytes()
+	return seeds, err
+}
+
+// TestMaterializedHoldsEachSetOnce: after every cover of an IMM or SSA run
+// on nethept-16, the covering collection holds no raw set, and the
+// context is charged exactly what the run's collections hold: their
+// inversions plus their pending arenas. Only SSA's verification
+// collection, which never covers, has a pending arena then.
+func TestMaterializedHoldsEachSetOnce(t *testing.T) {
+	g := weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 16, 1)).(*graph.Graph)
+	entry := graphalgo.NewSetStore().Bytes()
+	t.Cleanup(func() { collectionHook = nil })
+	for _, alg := range []core.Algorithm{IMM{}, SSA{}} {
+		var live []*collection
+		covers := 0
+		collectionHook = func(c *collection) {
+			if !slices.Contains(live, c) {
+				live = append(live, c)
+				return
+			}
+			covers++
+			if c.store.Len() != 0 || c.store.Bytes() != entry {
+				t.Errorf("%s cover %d: %d raw sets in %d B held after the cover", alg.Name(), covers, c.store.Len(), c.store.Bytes())
+			}
+			held := int64(0)
+			for _, x := range live {
+				held += x.store.Bytes() - entry + x.cp.MemoryBytes()
+			}
+			if got := c.ctx.MemUsed(); got != held {
+				t.Errorf("%s cover %d: accounted %d, want the %d held (inversion %d)", alg.Name(), covers, got, held, c.cp.MemoryBytes())
+			}
+		}
+		ctx := core.NewContext(g, weights.IC, 10, 42)
+		ctx.ParamValue = 0.2
+		if _, err := alg.Select(ctx); err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if covers < 2 {
+			t.Errorf("%s: %d covers, want a multi-round run", alg.Name(), covers)
 		}
 	}
 }

@@ -29,10 +29,11 @@ import (
 // its mutex.
 //
 // The inversion is the only copy of the sets the index keeps, in both
-// collection modes: a build drops the sampled arena (or its spill) once it
-// is inverted, and a snapshot persists the inversion itself (Inversion,
-// NewIndexFromInversion). Every query answer is byte-identical across
-// collection modes and worker counts at the same seed.
+// collection modes: a build releases the sampled arena as it inverts it
+// (or drops its spill), and a snapshot persists the inversion itself
+// (Inversion, NewIndexFromInversion). Every query answer is
+// byte-identical across collection modes and worker counts at the same
+// seed.
 type Index struct {
 	n  int32
 	cp *graphalgo.CoverageProblem
@@ -46,7 +47,8 @@ type Index struct {
 // determinism contract. Construction honors ctx's cooperative
 // budget/cancellation checks and accounts memory through ctx.Account, so
 // a budgeted build DNFs/Crashes exactly like the offline algorithms
-// would; once built, the index is charged for its inversion alone.
+// would. The build peaks at one batch plus its inversion; once built, the
+// index is charged for its inversion alone.
 func BuildIndex(ctx *core.Context, theta int64) (*Index, error) {
 	if theta < 1 {
 		theta = 1
@@ -56,15 +58,13 @@ func BuildIndex(ctx *core.Context, theta int64) (*Index, error) {
 	if err := c.extend(theta); err != nil {
 		return nil, err
 	}
+	// The inversion is all that survives: a materialized build released
+	// the sets as it inverted them, and close drops a streamed spill. Its
+	// charge stays with the index.
 	cp, err := c.problem()
 	if err != nil {
 		return nil, err
 	}
-	// Only the inversion survives: release the sets it was built from.
-	if err := c.reset(); err != nil {
-		return nil, err
-	}
-	ctx.Account(cp.MemoryBytes())
 	return &Index{n: ctx.G.N(), cp: cp}, nil
 }
 
@@ -109,8 +109,8 @@ func (ix *Index) N() int32 { return ix.n }
 // NumSets returns θ, the number of sampled RR sets.
 func (ix *Index) NumSets() int { return ix.cp.NumSets() }
 
-// MemoryBytes returns the index's resident size: the inversion, the
-// per-node degrees and the cover marks.
+// MemoryBytes returns the index's resident size: the inversion and the
+// cover marks.
 func (ix *Index) MemoryBytes() int64 { return ix.cp.MemoryBytes() }
 
 // SpreadOf returns the index's spread estimate n·F(seeds). It does not

@@ -35,11 +35,15 @@ var epsSpectrum = []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.6
 // collection accumulates RR sets with budget-aware accounting in one of two
 // modes, selected by Context.ArenaBytes:
 //
-//   - Materialized (ArenaBytes == 0, the paper's measurement): all sets live
-//     in one flat SetStore arena; Context.Account is charged its true
-//     (capacity-based) footprint, so the paper's M6 memory-blow-up
-//     reproduction stays faithful — budgeted runs still crash at the same
-//     scale they did with per-set slices.
+//   - Materialized (ArenaBytes == 0, the paper's measurement): the sets
+//     sampled since the last cover live in one flat SetStore arena, and a
+//     cover inverts them into the next segment of one coverage problem and
+//     releases them, so each set is held once: raw until its cover, then
+//     as memberships. Context.Account is charged exactly what the
+//     collection holds, the pending arena's capacity plus the inversion's
+//     MemoryBytes, including the moment both exist, so the paper's M6
+//     memory-blow-up reproduction stays faithful and budgeted runs crash
+//     on the bytes they really hold.
 //   - Streaming (ArenaBytes > 0): sets are sampled through a bounded arena
 //     (diffusion.SampleStream) and folded batch-by-batch into an incremental
 //     coverage builder that spills raw sets to disk; resident memory is the
@@ -52,11 +56,16 @@ var epsSpectrum = []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.6
 type collection struct {
 	ctx     *core.Context
 	sampler *diffusion.RRSampler
-	store   *graphalgo.SetStore        // materialized mode (nil when streaming)
-	cp      *graphalgo.CoverageProblem // materialized mode: store's inversion, grown on demand
+	store   *graphalgo.SetStore        // materialized mode: the sets sampled since the last cover
+	cp      *graphalgo.CoverageProblem // materialized mode: the inversion of every earlier set
 	builder *graphalgo.CoverageBuilder // streaming mode (nil when materialized)
 	count   int64                      // streaming mode: sets folded so far
 }
+
+// collectionHook, when non-nil, is called with every new collection and
+// again after each of its covers. Tests use it to check what a
+// selector's collections hold.
+var collectionHook func(*collection)
 
 func newCollection(ctx *core.Context) *collection {
 	c := &collection{
@@ -69,6 +78,10 @@ func newCollection(ctx *core.Context) *collection {
 		ctx.Account(c.builder.MemoryBytes())
 	} else {
 		c.store = graphalgo.NewSetStore()
+		c.cp = graphalgo.NewCoverageProblem(ctx.G.N(), c.store)
+	}
+	if collectionHook != nil {
+		collectionHook(c)
 	}
 	return c
 }
@@ -77,8 +90,8 @@ func newCollection(ctx *core.Context) *collection {
 func (c *collection) streaming() bool { return c.builder != nil }
 
 // close releases streaming-mode resources (spill file, accounted builder
-// state). Algorithms defer it; materialized mode is a no-op — the store's
-// charge stays visible until the run ends, as before.
+// state). Algorithms defer it; materialized mode is a no-op — the
+// collection's charge stays visible until the run ends, as before.
 func (c *collection) close() {
 	if c.builder != nil {
 		c.ctx.Account(-c.builder.MemoryBytes())
@@ -94,7 +107,7 @@ func (c *collection) size() int64 {
 	if c.streaming() {
 		return c.count
 	}
-	return int64(c.store.Len())
+	return int64(c.cp.NumSets() + c.store.Len())
 }
 
 // extend samples RR sets until the collection holds target sets, fanning
@@ -136,10 +149,18 @@ func (c *collection) streamConfig() diffusion.StreamConfig {
 	}
 }
 
+// release drops the pending sets and credits their arena back, returning
+// the store to the empty state it started from.
+func (c *collection) release() {
+	arena := c.store.Bytes()
+	c.store.Reset()
+	c.ctx.Account(c.store.Bytes() - arena)
+}
+
 // reset discards all sets (between IMM's sampling and selection phases the
 // original keeps them; TIM+'s KPT phase discards — both modeled). The
-// accounting credit is the exact arena footprint, returning the charge to
-// zero for an otherwise-idle context.
+// accounting credit is exactly what the collection held, returning the
+// charge to zero for an otherwise-idle context.
 func (c *collection) reset() error {
 	if c.streaming() {
 		if err := c.builder.Reset(); err != nil {
@@ -148,28 +169,35 @@ func (c *collection) reset() error {
 		c.count = 0
 		return nil
 	}
-	c.ctx.Account(-c.store.Bytes())
-	c.store.Reset()
-	c.cp = nil
-	c.ctx.Account(c.store.Bytes())
+	c.release()
+	c.ctx.Account(-c.cp.MemoryBytes())
+	c.cp = graphalgo.NewCoverageProblem(c.ctx.G.N(), c.store)
 	return nil
 }
 
-// problem returns the coverage problem over the current sets. Both paths
-// produce problems with identical degrees and memberships (the builder
-// replays its spill through the same counting-sort passes the in-memory
-// inversion runs). The materialized collection keeps one problem and grows
-// it by a segment over the sets sampled since the last call, so IMM's and
-// SSA's rounds invert each set once; the streaming builder's inversion is
-// transient by design.
+// problem returns the coverage problem over the current sets, charged to
+// the context. Both paths produce problems with identical memberships (the
+// builder replays its spill through the same counting-sort passes the
+// in-memory inversion runs). The materialized collection keeps one problem,
+// appends the pending sets to it as one segment and releases them, so
+// IMM's and SSA's rounds invert each set once and hold it once; the
+// inversion is charged before the arena is credited, so the peak counts
+// both. The streaming builder's inversion is transient by design: the
+// caller credits it when done.
 func (c *collection) problem() (*graphalgo.CoverageProblem, error) {
 	if c.streaming() {
-		return c.builder.Build()
+		cp, err := c.builder.Build()
+		if err != nil {
+			return nil, err
+		}
+		c.ctx.Account(cp.MemoryBytes())
+		return cp, nil
 	}
-	if c.cp == nil {
-		c.cp = graphalgo.NewCoverageProblem(c.ctx.G.N(), c.store)
-	} else {
-		c.cp.Grow(c.store)
+	if c.store.Len() > 0 {
+		before := c.cp.MemoryBytes()
+		c.cp.Append(c.store)
+		c.ctx.Account(c.cp.MemoryBytes() - before)
+		c.release()
 	}
 	return c.cp, nil
 }
@@ -184,28 +212,30 @@ func (c *collection) cover(k int) ([]graph.NodeID, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if c.streaming() {
-		b := cp.MemoryBytes()
-		c.ctx.Account(b)
-		defer c.ctx.Account(-b)
-	}
 	res := cp.GreedyMaxCover(k)
+	if c.streaming() {
+		c.ctx.Account(-cp.MemoryBytes())
+	}
+	if collectionHook != nil {
+		collectionHook(c)
+	}
 	return res.Seeds, res.Fraction, nil
 }
 
 // coveredBy returns how many of the collection's sets contain at least one
-// of seeds (SSA's stare statistic). The materialized path scans the raw
-// sets against a node bitset of the seeds; the streaming path scans them
-// as it replays the spill, building no inversion.
+// of seeds (SSA's stare statistic). The materialized path counts the
+// inverted sets on the inversion and scans the pending ones against a node
+// bitset of the seeds; the streaming path scans the sets as it replays the
+// spill, building no inversion.
 func (c *collection) coveredBy(seeds []graph.NodeID) (int64, error) {
 	if c.streaming() {
 		return c.builder.CountCovered(seeds)
 	}
+	covered := c.cp.CoverageOf(seeds)
 	inSeed := graphalgo.NewBitset(int(c.ctx.G.N()))
 	for _, s := range seeds {
 		inSeed.Set(int(s))
 	}
-	covered := int64(0)
 	for i := 0; i < c.store.Len(); i++ {
 		for _, v := range c.store.Set(i) {
 			if inSeed.Test(int(v)) {

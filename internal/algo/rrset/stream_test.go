@@ -170,10 +170,8 @@ func TestStreamingCoveredByCountsDuringReplay(t *testing.T) {
 		t.Fatalf("materialized count %d, inversion's %d", want, inv)
 	}
 	// The inversion lists every set once per distinct member: 4 B each.
-	invData := int64(0)
-	for i := 0; i < mat.store.Len(); i++ {
-		invData += 4 * int64(len(mat.store.Set(i)))
-	}
+	_, _, data := mat.cp.Inversion()
+	invData := 4 * int64(len(data))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	got, err := str.coveredBy(seeds)

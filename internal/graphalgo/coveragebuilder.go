@@ -136,14 +136,10 @@ func (b *CoverageBuilder) writeSet(set []int32) error {
 // Build called again (IMM grows its collection across rounds). The returned
 // problem shares no mutable state with the builder.
 func (b *CoverageBuilder) Build() (*CoverageProblem, error) {
-	cp := &CoverageProblem{
-		covered: NewBitset(b.numSets),
-		degree:  make([]int64, b.n),
-	}
-	copy(cp.degree, b.degree)
+	cp := &CoverageProblem{n: b.n, covered: NewBitset(b.numSets)}
 	inv := &inversion{numSets: b.numSets, off: make([]int64, b.n+1), prev: noSets}
 	for v := int32(0); v < b.n; v++ {
-		inv.off[v+1] = inv.off[v] + cp.degree[v]
+		inv.off[v+1] = inv.off[v] + b.degree[v]
 	}
 	inv.data = make([]int32, inv.off[b.n])
 	cp.inv.Store(inv)

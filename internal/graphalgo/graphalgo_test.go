@@ -316,11 +316,12 @@ func TestGreedyMaxCoverApproxProperty(t *testing.T) {
 func TestGreedyMaxCoverDuplicateMembers(t *testing.T) {
 	sets := [][]int32{{0}, {2}, {4, 2, 5}, {0, 1, 0, 4}, {3, 3, 2, 3}}
 	cp := NewCoverageProblem(6, StoreOf(sets...))
-	if cp.degree[0] != 2 {
-		t.Fatalf("degree[0]=%d want 2 (set 3 counted once)", cp.degree[0])
+	degree := cp.degrees()
+	if degree[0] != 2 {
+		t.Fatalf("degree[0]=%d want 2 (set 3 counted once)", degree[0])
 	}
-	if cp.degree[3] != 1 {
-		t.Fatalf("degree[3]=%d want 1", cp.degree[3])
+	if degree[3] != 1 {
+		t.Fatalf("degree[3]=%d want 1", degree[3])
 	}
 	res := cp.GreedyMaxCover(2)
 	// Optimal: {2, 0} covers all 5 sets; greedy must reach ≥ (1−1/e)·5,

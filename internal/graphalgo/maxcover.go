@@ -28,31 +28,32 @@ import (
 // query for a k the order already holds is a copy of its prefix.
 //
 // The inversion grows with its collection. IMM and SSA select on a
-// collection that only ever gains sets, so Grow inverts just the sets past
-// the ones already inverted instead of the whole collection again at every
-// phase. It adds them as a segment: the CSR inversion of the new sets
-// alone, chained to the inversion it grew from. No membership is copied,
-// so a Grow never holds the old inversion and a copy of it at once, and
-// the inversion's footprint is its memberships plus one offsets array per
-// segment. A set's id is its position in the store, so the segments hold
-// disjoint, ascending ranges of ids.
+// collection that only ever gains sets, so Append inverts just the sets
+// sampled since the last cover instead of the whole collection again at
+// every phase. It adds them as a segment: the CSR inversion of the new
+// sets alone, chained to the inversion it grew from. No membership is
+// copied and no earlier set is read again, so the caller may release each
+// batch as soon as it is appended, and the inversion's footprint is its
+// memberships plus one offsets array per segment. Set i of a batch gets
+// id NumSets()+i, so the segments hold disjoint, ascending ranges of ids.
 
-// CoverageProblem is a universe of sets over node elements, consumed from a
-// flat SetStore and inverted into per-node membership indexes, one flat
-// CSR segment per growth. A segment costs O(1) allocations instead of one
-// growing slice per node.
+// CoverageProblem is a universe of sets over node elements, consumed from
+// flat SetStore batches and inverted into per-node membership indexes,
+// one flat CSR segment per batch. A segment costs O(1) allocations
+// instead of one growing slice per node. A node's degree, its exact
+// round-0 gain, is the sum of its run lengths over the segments.
 //
 // The problem also keeps the greedy's progress, so a longer selection
 // resumes where a shorter one stopped and a shorter one is a copy of a
 // prefix. It is safe for concurrent use.
 type CoverageProblem struct {
-	// inv is the current inversion. Grow publishes a new one instead of
+	// inv is the current inversion. Append publishes a new one instead of
 	// editing it, so CoverageOf reads a whole inversion without a lock and
-	// a point query never waits for a greedy or a Grow.
+	// a point query never waits for a greedy or an Append.
 	inv atomic.Pointer[inversion]
+	n   int32 // node count
 
-	mu      sync.Mutex // guards degree, covered, lazy and pad; Grow holds it too
-	degree  []int64    // node -> number of sets containing it
+	mu      sync.Mutex // guards covered, lazy and pad; Append holds it too
 	covered Bitset     // set -> already covered by the greedy's picks
 	// lazy is the greedy over the nodes of positive degree; its seeds run
 	// on into the padding. It is nil until the first extension, and a poll
@@ -83,21 +84,30 @@ func (inv *inversion) run(v int32) []int32 {
 	return inv.data[inv.off[v]:inv.off[v+1]]
 }
 
+// degree returns the number of sets in the chain that contain node v.
+func (inv *inversion) degree(v int32) int64 {
+	d := int64(0)
+	for seg := inv; seg != noSets; seg = seg.prev {
+		d += seg.off[v+1] - seg.off[v]
+	}
+	return d
+}
+
 // noSets is the inversion of no sets, shared by every new problem: the
 // end of every chain.
 var noSets = &inversion{}
 
 // NewCoverageProblem inverts the store's sets (each a list of node ids over
 // a universe of n nodes) into the per-node index used by greedy max-cover:
-// it is an empty problem grown once, so its inversion is one segment.
+// it is an empty problem appended once, so its inversion is one segment.
 // Duplicate node entries within one set are ignored: a membership counted
 // twice would inflate the initial gains and break the greedy invariant
 // (cached gains must upper-bound true gains). The problem keeps no
 // reference to store.
 func NewCoverageProblem(n int32, sets *SetStore) *CoverageProblem {
-	cp := &CoverageProblem{degree: make([]int64, n)}
+	cp := &CoverageProblem{n: n}
 	cp.inv.Store(noSets)
-	cp.Grow(sets)
+	cp.Append(sets)
 	return cp
 }
 
@@ -105,10 +115,10 @@ func NewCoverageProblem(n int32, sets *SetStore) *CoverageProblem {
 // Inversion returns, over n nodes and numSets sets, after checking that it
 // is one: off has n+1 entries and frames data (SetStoreFromRaw's rules),
 // and every node's run lists set ids in [0, numSets) in strictly
-// ascending order. It runs no counting pass: a node's degree is its run's
-// length. The problem adopts off and data; the caller must not modify
-// them. A problem built this way equals NewCoverageProblem over the sets
-// the inversion was taken from.
+// ascending order. It runs no counting pass and allocates nothing per
+// node: a node's degree is its run's length. The problem adopts off and
+// data; the caller must not modify them. A problem built this way equals
+// NewCoverageProblem over the sets the inversion was taken from.
 func NewCoverageProblemFromInversion(n int32, numSets int, off []int64, data []int32) (*CoverageProblem, error) {
 	if n < 0 || numSets < 0 || len(off) != int(n)+1 {
 		return nil, fmt.Errorf("coverage: %d offsets for %d nodes and %d sets", len(off), n, numSets)
@@ -116,7 +126,6 @@ func NewCoverageProblemFromInversion(n int32, numSets int, off []int64, data []i
 	if _, err := SetStoreFromRaw(data, off); err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	degree := make([]int64, n)
 	for v := range n {
 		prev := int32(-1)
 		for _, si := range data[off[v]:off[v+1]] {
@@ -125,9 +134,8 @@ func NewCoverageProblemFromInversion(n int32, numSets int, off []int64, data []i
 			}
 			prev = si
 		}
-		degree[v] = off[v+1] - off[v]
 	}
-	cp := &CoverageProblem{degree: degree, covered: NewBitset(numSets)}
+	cp := &CoverageProblem{n: n, covered: NewBitset(numSets)}
 	cp.inv.Store(&inversion{numSets: numSets, off: off, data: data, prev: noSets})
 	return cp, nil
 }
@@ -136,11 +144,12 @@ func NewCoverageProblemFromInversion(n int32, numSets int, off []int64, data []i
 // sets: data[off[v]:off[v+1]] lists the sets that contain node v, in
 // ascending order. The arrays are the problem's own and must not be
 // modified. It is defined for a problem built in one step, whose
-// inversion is one segment; calling it after a Grow added sets is a bug.
+// inversion is one segment; calling it after an Append chained a second
+// segment is a bug.
 func (cp *CoverageProblem) Inversion() (numSets int, off []int64, data []int32) {
 	switch inv := cp.inv.Load(); {
 	case inv == noSets:
-		return 0, make([]int64, len(cp.degree)+1), nil
+		return 0, make([]int64, cp.n+1), nil
 	case inv.prev != noSets:
 		panic("graphalgo: Inversion of a coverage problem grown by segments")
 	default:
@@ -148,74 +157,88 @@ func (cp *CoverageProblem) Inversion() (numSets int, off []int64, data []int32) 
 	}
 }
 
-// Grow inverts the sets of store past NumSets into a new segment of the
-// inversion, with one counting pass and one scatter pass over the new
-// sets only. store must hold the sets the problem was built from as its
-// prefix; every node's memberships then equal, in order, those
-// NewCoverageProblem finds over the whole store. A Grow that adds sets
-// clears the cover marks and restarts the greedy; one that adds none
-// keeps the greedy's order, so a repeated selection is a prefix copy.
+// Append inverts the sets of batch into a new segment of the inversion:
+// set i of the batch gets id NumSets()+i. One counting pass and one
+// scatter pass read the batch, and no earlier set is read again, so the
+// caller may release the batch as soon as Append returns. Every node's
+// memberships then equal, in order, those NewCoverageProblem finds over
+// every set appended so far. An Append that adds sets clears the cover
+// marks and restarts the greedy; one of an empty batch keeps the greedy's
+// order, so a repeated selection is a prefix copy.
 //
 // Each segment carries n+1 offsets. While the chain's offsets, with the
-// new segment's, would outweigh its memberships, Grow inverts the whole
-// store again into a single segment instead; that happens only while the
-// collection is small next to the node count, so a collection that grows
-// geometrically, like IMM's phases and SSA's rounds, adds a segment per
-// Grow. The problem keeps no reference to store.
-func (cp *CoverageProblem) Grow(sets *SetStore) {
+// new segment's, would outweigh its memberships, Append instead builds a
+// single segment that holds every node's runs from the chain, oldest
+// first, followed by its memberships in the batch. That happens only
+// while the problem is small next to the node count, so a collection that
+// grows geometrically, like IMM's phases and SSA's rounds, adds a segment
+// per Append. The problem keeps no reference to batch.
+func (cp *CoverageProblem) Append(batch *SetStore) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	old := cp.inv.Load()
-	first, numSets := old.numSets, sets.Len()
-	if numSets <= first {
+	added := batch.Len()
+	if added == 0 {
 		return
 	}
-	n := len(cp.degree)
-	segments, elems := int64(1), sets.NumElems()
-	for seg := old; seg.prev != nil; seg = seg.prev {
-		segments++
+	old := cp.inv.Load()
+	first, n := old.numSets, cp.n
+	var chain []*inversion // newest first
+	elems := batch.NumElems()
+	for seg := old; seg != noSets; seg = seg.prev {
+		chain = append(chain, seg)
+		elems += int64(len(seg.data))
 	}
-	if old != noSets && segments*int64(n+1)*8 > elems*4 {
-		old, first = noSets, 0
-		clear(cp.degree)
+	merge := int64(len(chain)+1)*int64(n+1)*8 > elems*4
+	seg := &inversion{numSets: first + added, off: make([]int64, n+1), prev: old}
+	if merge {
+		seg.prev = noSets
 	}
-	seg := &inversion{numSets: numSets, off: make([]int64, n+1), prev: old}
-	// last[v] is 1 + the last set that counted v, so a duplicate entry of
-	// v within one set counts once; the scatter pass stores the negation,
-	// so the two passes share the array without clearing it.
+	// last[v] is 1 + the last set of the batch that counted v, so a
+	// duplicate entry of v within one set counts once; the scatter pass
+	// stores the negation, so the two passes share the array without
+	// clearing it.
 	last := make([]int32, n)
-	for si := first; si < numSets; si++ {
-		mark := int32(si + 1)
-		for _, v := range sets.Set(si) {
+	for i := range added {
+		mark := int32(i + 1)
+		for _, v := range batch.Set(i) {
 			if last[v] != mark {
 				last[v] = mark
 				seg.off[v+1]++
 			}
 		}
 	}
-	// off[v+1] holds v's count; it becomes v's start, where the scatter
-	// writes v's first membership. The scatter advances it, so it ends at
-	// v's end, which is v+1's start.
+	// off[v+1] holds v's count; it becomes v's start, where v's first
+	// membership goes. The copy of the chain's runs and the scatter
+	// advance it, so it ends at v's end, which is v+1's start.
 	start := int64(0)
 	for v := range n {
 		count := seg.off[v+1]
-		cp.degree[v] += count
+		if merge {
+			count += old.degree(v)
+		}
 		seg.off[v+1] = start
 		start += count
 	}
 	seg.data = make([]int32, start)
-	for si := first; si < numSets; si++ {
-		mark := -int32(si + 1)
-		for _, v := range sets.Set(si) {
+	if merge {
+		for v := range n {
+			for i := len(chain) - 1; i >= 0; i-- {
+				seg.off[v+1] += int64(copy(seg.data[seg.off[v+1]:], chain[i].run(v)))
+			}
+		}
+	}
+	for i := range added {
+		mark, id := -int32(i+1), int32(first+i)
+		for _, v := range batch.Set(i) {
 			if last[v] != mark {
 				last[v] = mark
-				seg.data[seg.off[v+1]] = int32(si)
+				seg.data[seg.off[v+1]] = id
 				seg.off[v+1]++
 			}
 		}
 	}
 	cp.inv.Store(seg)
-	cp.covered, cp.lazy, cp.pad = NewBitset(numSets), nil, 0
+	cp.covered, cp.lazy, cp.pad = NewBitset(seg.numSets), nil, 0
 }
 
 // MaxCoverResult reports the greedy max-cover outcome. Seeds is a
@@ -252,7 +275,7 @@ func (cp *CoverageProblem) GreedyMaxCover(k int) MaxCoverResult {
 func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCoverResult, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	k = min(max(k, 0), len(cp.degree))
+	k = min(max(k, 0), int(cp.n))
 	if err := cp.extend(k, poll); err != nil {
 		return MaxCoverResult{}, err
 	}
@@ -268,11 +291,12 @@ func (cp *CoverageProblem) GreedyMaxCoverPoll(k int, poll func() error) (MaxCove
 // nodes of positive degree, then the degree-zero nodes in ascending id
 // order. Counts are exact as float64.
 func (cp *CoverageProblem) extend(k int, poll func() error) error {
+	inv := cp.inv.Load()
 	if cp.lazy == nil {
-		h := make(celfHeap, 0, len(cp.degree))
-		for v, d := range cp.degree {
-			if d > 0 {
-				h = append(h, lazyEntry{gain: float64(d), node: int32(v)})
+		h := make(celfHeap, 0, cp.n)
+		for v := range cp.n {
+			if d := inv.degree(v); d > 0 {
+				h = append(h, lazyEntry{gain: float64(d), node: v})
 			}
 		}
 		cp.lazy = newLazyGreedy(h)
@@ -283,8 +307,8 @@ func (cp *CoverageProblem) extend(k int, poll func() error) error {
 	if err := g.extend(k, 1, cp.gain, cp.commit, poll); err != nil {
 		return err
 	}
-	for ; len(g.seeds) < k && int(cp.pad) < len(cp.degree); cp.pad++ {
-		if cp.degree[cp.pad] == 0 {
+	for ; len(g.seeds) < k && cp.pad < cp.n; cp.pad++ {
+		if inv.degree(cp.pad) == 0 {
 			g.seeds = append(g.seeds, cp.pad)
 			g.spread = append(g.spread, g.spread[len(g.spread)-1])
 		}
@@ -319,7 +343,7 @@ func (cp *CoverageProblem) commit(v int32) {
 // on a pooled set bitset: a membership whose bit was clear counts once,
 // and the bits are cleared again by replaying the same memberships, so a
 // call costs O(memberships of seeds), never O(#sets). Safe for concurrent
-// use, with Grow too.
+// use, with Append too.
 func (cp *CoverageProblem) CoverageOf(seeds []int32) int64 {
 	inv := cp.inv.Load()
 	seen, _ := cp.scratch.Get().(*Bitset)
@@ -327,7 +351,7 @@ func (cp *CoverageProblem) CoverageOf(seeds []int32) int64 {
 		b := NewBitset(inv.numSets)
 		seen = &b
 	}
-	n := int64(len(cp.degree))
+	n := int64(cp.n)
 	count := int64(0)
 	for _, v := range seeds {
 		if v < 0 || int64(v) >= n {
@@ -360,14 +384,14 @@ func (cp *CoverageProblem) NumSets() int { return cp.inv.Load().numSets }
 
 // MemoryBytes returns the problem's resident footprint (capacity-based,
 // like SetStore.Bytes): every segment's arrays plus the cover marks. The
-// sets it was inverted from are not counted — their owner (the collection
-// or index that built the problem) already accounts them — and neither is
-// the greedy's heap. Streaming collections charge this through
-// Context.Account while a greedy runs.
+// batches it was inverted from are not counted, and neither is the
+// greedy's heap. Collections charge this through Context.Account: the
+// materialized collection for as long as it holds the problem, the
+// streaming one while a greedy runs.
 func (cp *CoverageProblem) MemoryBytes() int64 {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	bytes := cp.covered.Bytes() + int64(cap(cp.degree))*8
+	bytes := cp.covered.Bytes()
 	for seg := cp.inv.Load(); seg != noSets; seg = seg.prev {
 		bytes += int64(cap(seg.off))*8 + int64(cap(seg.data))*4
 	}

@@ -202,6 +202,17 @@ func (cp *CoverageProblem) memberships(v int32) []int32 {
 	return out
 }
 
+// degrees returns every node's degree: its run lengths summed over the
+// segments.
+func (cp *CoverageProblem) degrees() []int64 {
+	inv := cp.inv.Load()
+	d := make([]int64, cp.n)
+	for v := range cp.n {
+		d[v] = inv.degree(v)
+	}
+	return d
+}
+
 // segments returns the number of segments in the problem's inversion.
 func (cp *CoverageProblem) segments() int {
 	count := 0
@@ -211,15 +222,17 @@ func (cp *CoverageProblem) segments() int {
 	return count
 }
 
-// TestGrowMatchesNewCoverageProblem grows one problem over random stores
-// with empty sets and duplicate members, in one to five steps of which
-// some add no sets. After every step the set count, the degrees and every
-// node's memberships must equal NewCoverageProblem's over the same
-// prefix, and so must the greedy order to k = n. A Grow that adds nothing must keep an order
-// already extended; one that adds sets after a partial greedy must restart
-// it. A reader calls CoverageOf throughout, so -race checks Grow against
+// TestAppendMatchesNewCoverageProblem appends random stores, with empty
+// sets and duplicate members, to one problem in one to five batches of
+// which some are empty. After every batch the set count, the degrees and
+// every node's memberships must equal NewCoverageProblem's over every set
+// appended so far, and so must the greedy order to k = n. Each batch is
+// overwritten once appended, so a problem that read a set again after
+// its Append would differ. An empty batch must keep an order already
+// extended; one that adds sets after a partial greedy must restart it. A
+// reader calls CoverageOf throughout, so -race checks Append against
 // concurrent point queries.
-func TestGrowMatchesNewCoverageProblem(t *testing.T) {
+func TestAppendMatchesNewCoverageProblem(t *testing.T) {
 	r := rng.New(0x6705)
 	for trial := 0; trial < 40; trial++ {
 		n := int32(1 + r.Int31n(50))
@@ -241,8 +254,7 @@ func TestGrowMatchesNewCoverageProblem(t *testing.T) {
 			allowed[NewCoverageProblem(n, prefix).CoverageOf(probe)] = true
 		}
 
-		grown := NewSetStore()
-		cp := NewCoverageProblem(n, grown)
+		cp := NewCoverageProblem(n, NewSetStore())
 		stop := make(chan struct{})
 		bad := make(chan int64, 1)
 		done := make(chan struct{})
@@ -260,17 +272,26 @@ func TestGrowMatchesNewCoverageProblem(t *testing.T) {
 				}
 			}
 		}()
+		appended := 0
 		for step, cut := range cuts {
-			before := grown.Len()
-			grown.AppendRange(all, before, cut)
+			before := appended
+			batch := NewSetStore()
+			batch.AppendRange(all, before, cut)
 			if cut > before && r.Int31n(2) == 0 {
 				cp.GreedyMaxCover(int(r.Int31n(n + 1))) // partial order, restarted below
 			}
-			cp.Grow(grown)
-			ref := NewCoverageProblem(n, grown)
+			cp.Append(batch)
+			appended = cut
+			data, _ := batch.Raw()
+			for i := range data {
+				data[i] = n - 1 - data[i]
+			}
+			prefix := NewSetStore()
+			prefix.AppendRange(all, 0, cut)
+			ref := NewCoverageProblem(n, prefix)
 			name := fmt.Sprintf("trial %d step %d (%d -> %d sets)", trial, step, before, cut)
-			if cp.NumSets() != ref.NumSets() || !slices.Equal(cp.degree, ref.degree) {
-				t.Fatalf("%s: %d sets with degrees %v, want %d with %v", name, cp.NumSets(), cp.degree, ref.NumSets(), ref.degree)
+			if cp.NumSets() != ref.NumSets() || !slices.Equal(cp.degrees(), ref.degrees()) {
+				t.Fatalf("%s: %d sets with degrees %v, want %d with %v", name, cp.NumSets(), cp.degrees(), ref.NumSets(), ref.degrees())
 			}
 			for v := range n {
 				if got, want := cp.memberships(v), ref.memberships(v); !slices.Equal(got, want) {
@@ -282,11 +303,11 @@ func TestGrowMatchesNewCoverageProblem(t *testing.T) {
 			if !slices.Equal(gotRes.Seeds, wantRes.Seeds) || !slices.Equal(gotGains, wantGains) {
 				t.Fatalf("%s: greedy order %v/%v, want %v/%v", name, gotRes.Seeds, gotGains, wantRes.Seeds, wantGains)
 			}
-			// A Grow that adds nothing keeps the extended order.
+			// An empty batch keeps the extended order.
 			lazy := cp.lazy
-			cp.Grow(grown)
+			cp.Append(NewSetStore())
 			if cp.lazy != lazy || len(cp.lazy.seeds) != int(n) {
-				t.Fatalf("%s: a Grow adding no sets dropped the greedy order", name)
+				t.Fatalf("%s: an empty Append dropped the greedy order", name)
 			}
 		}
 		close(stop)
@@ -299,27 +320,36 @@ func TestGrowMatchesNewCoverageProblem(t *testing.T) {
 	}
 }
 
-// TestGrowChainsSegments: a Grow that adds sets chains one segment over
-// just those sets onto the inversion it grew from, copying no membership,
-// while the chain's offsets stay within its memberships' bytes. Short
-// sets added a few at a time to many nodes never pay for a second offsets
-// array, so those Grows invert the whole store into one segment instead.
-func TestGrowChainsSegments(t *testing.T) {
+// TestAppendChainsSegments: an Append chains one segment over just its
+// batch onto the inversion it grew from, copying no membership, while the
+// chain's offsets stay within its memberships' bytes. Short sets appended
+// a few at a time to many nodes never pay for a second offsets array, so
+// those Appends concatenate the chain's runs and the batch's memberships
+// into one segment instead, which must equal NewCoverageProblem's
+// Inversion over every set appended so far.
+func TestAppendChainsSegments(t *testing.T) {
 	r := rng.New(0x5e6)
 	const n = 100
-	store := NewSetStore()
-	cp := NewCoverageProblem(n, store)
+	store := NewSetStore() // every set appended so far
+	cp := NewCoverageProblem(n, NewSetStore())
 	for step := range 10 {
-		store.AppendStore(randomStore(r, n, 3, 4))
-		cp.Grow(store)
+		batch := randomStore(r, n, 3, 4)
+		store.AppendStore(batch)
+		cp.Append(batch)
 		if got := cp.segments(); got != 1 {
 			t.Fatalf("small step %d: %d segments for %d sets, want 1", step, got, store.Len())
+		}
+		gotSets, gotOff, gotData := cp.Inversion()
+		wantSets, wantOff, wantData := NewCoverageProblem(n, store).Inversion()
+		if gotSets != wantSets || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotData, wantData) {
+			t.Fatalf("small step %d: merged inversion over %d sets differs from NewCoverageProblem's over %d", step, gotSets, wantSets)
 		}
 	}
 	for step := range 4 {
 		old := cp.inv.Load()
-		store.AppendStore(randomStore(r, n, 200<<step, 20))
-		cp.Grow(store)
+		batch := randomStore(r, n, 200<<step, 20)
+		store.AppendStore(batch)
+		cp.Append(batch)
 		seg := cp.inv.Load()
 		if seg.prev != old || cp.segments() != step+2 {
 			t.Fatalf("geometric step %d: %d segments, not the old chain plus one", step, cp.segments())
@@ -358,8 +388,8 @@ func TestInversionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got.NumSets() != ref.NumSets() || !slices.Equal(got.degree, ref.degree) {
-			t.Fatalf("trial %d: %d sets with degrees %v, want %d with %v", trial, got.NumSets(), got.degree, ref.NumSets(), ref.degree)
+		if got.NumSets() != ref.NumSets() || !slices.Equal(got.degrees(), ref.degrees()) {
+			t.Fatalf("trial %d: %d sets with degrees %v, want %d with %v", trial, got.NumSets(), got.degrees(), ref.NumSets(), ref.degrees())
 		}
 		for v := range n {
 			if g, w := got.memberships(v), ref.memberships(v); !slices.Equal(g, w) {

@@ -87,8 +87,8 @@ func TestGreedyMaxCoverFlatMatchesSliceBaseline(t *testing.T) {
 	// still deduplicated (non-adjacent duplicates included).
 	sets := [][]int32{{0}, {2}, {4, 2, 5}, {0, 1, 0, 4}, {3, 3, 2, 3}}
 	cp := NewCoverageProblem(6, StoreOf(sets...))
-	if cp.degree[0] != 2 || cp.degree[3] != 1 || cp.degree[2] != 3 {
-		t.Fatalf("degrees %v", cp.degree)
+	if d := cp.degrees(); d[0] != 2 || d[3] != 1 || d[2] != 3 {
+		t.Fatalf("degrees %v", d)
 	}
 	for v := int32(0); v < 6; v++ {
 		ms := cp.memberships(v)
