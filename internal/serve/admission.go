@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -41,13 +42,15 @@ func (g gate) tryAcquire() bool {
 
 func (g gate) release() { <-g }
 
-// statusRecorder captures the status code and body size a handler wrote,
-// for the metrics middleware.
+// statusRecorder captures the status code a handler wrote, for the
+// metrics middleware. Recorders are recycled through recorders, so a
+// request allocates none.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
-	bytes  int64
 }
+
+var recorders = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 func (r *statusRecorder) WriteHeader(code int) {
 	if r.status == 0 {
@@ -60,9 +63,7 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	if r.status == 0 {
 		r.status = http.StatusOK
 	}
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
+	return r.ResponseWriter.Write(b)
 }
 
 // instrument wraps h with status/latency capture and panic isolation.
@@ -70,7 +71,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // and bumps the panics counter; the server keeps serving.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := recorders.Get().(*statusRecorder)
+		*rec = statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
 			if p := recover(); p != nil {
@@ -83,6 +85,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				rec.status = http.StatusOK
 			}
 			s.met.observe(route, rec.status, time.Since(start))
+			*rec = statusRecorder{}
+			recorders.Put(rec)
 		}()
 		h(rec, r)
 	}

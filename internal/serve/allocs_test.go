@@ -43,8 +43,8 @@ func TestWarmQueryAllocs(t *testing.T) {
 		body   []byte
 		allocs float64
 	}{
-		{"/v1/seeds", []byte(`{"k":200}`), 4},
-		{"/v1/spread", spread, 5},
+		{"/v1/seeds", []byte(`{"k":200}`), 3},
+		{"/v1/spread", spread, 4},
 	} {
 		body := &reusedBody{}
 		req := httptest.NewRequest(http.MethodPost, c.path, nil)
