@@ -48,8 +48,9 @@ type RunConfig struct {
 	Workers int
 
 	// ArenaBytes > 0 bounds the resident RR-set arena of the sampling
-	// phases (streaming mode; see Context.ArenaBytes). Seeds and spread
-	// estimates are byte-identical to the default materialized mode.
+	// phases and keeps the raw sets in a spill file (streaming mode; see
+	// Context.ArenaBytes). Seeds and spread estimates are byte-identical
+	// to the default materialized mode.
 	ArenaBytes int64
 	// SpillDir hosts streaming-mode spill files ("" = system temp dir).
 	SpillDir string

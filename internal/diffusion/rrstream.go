@@ -44,9 +44,9 @@ const streamMaxRound = 1 << 20
 // SampleStream draws count RR sets with uniformly random roots, delivering
 // them to sink in bounded-arena batches (see the package comment above for
 // the rotation protocol). poll and account have SampleBatch's contract;
-// account is reconciled so that, once the call returns, the net charge equals
-// the arena's final footprint (success) or zero (error) — the sink owns the
-// accounting of anything it retains. Returns the number of sets delivered.
+// account is reconciled so that, once the call returns, the net charge is
+// zero: the arena is dropped, and the sink owns the accounting of anything
+// it retains. Returns the number of sets delivered.
 func (s *RRSampler) SampleStream(count int64, baseSeed uint64, cfg StreamConfig, sink func(batch *graphalgo.SetStore) error, poll func() error, account func(delta int64)) (int64, error) {
 	if count <= 0 {
 		return 0, nil
@@ -112,6 +112,6 @@ func (s *RRSampler) SampleStream(count int64, baseSeed uint64, cfg StreamConfig,
 			acct(arena.Bytes() - freed)
 		}
 	}
-	acct(arena.Bytes() - net) // reconcile: net charge == final footprint
+	acct(-net) // the arena is dropped with the call
 	return done, nil
 }

@@ -222,6 +222,51 @@ func (cp *CoverageProblem) segments() int {
 	return count
 }
 
+// mustAppend appends sets to cp, failing the test on an error.
+func mustAppend(t *testing.T, cp *CoverageProblem, sets Sets) {
+	t.Helper()
+	if err := cp.Append(sets); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+}
+
+// failingSets is a store whose chunk visitor fails on its second call,
+// which is Append's scatter pass.
+type failingSets struct {
+	*SetStore
+	calls int
+	err   error
+}
+
+func (f *failingSets) Chunks(visit func(chunk *SetStore)) error {
+	if f.calls++; f.calls == 2 {
+		return f.err
+	}
+	return f.SetStore.Chunks(visit)
+}
+
+// TestAppendErrorPublishesNothing: an Append whose sets fail to read
+// returns the read error and leaves the problem as it was: its set
+// count, its greedy order and every coverage count.
+func TestAppendErrorPublishesNothing(t *testing.T) {
+	r := rng.New(0xe77)
+	const n = 40
+	cp := NewCoverageProblem(n, randomStore(r, n, 300, 6))
+	want := cp.GreedyMaxCover(10)
+	seeds := slices.Clone(want.Seeds)
+	covered := cp.CoverageOf(seeds)
+	boom := errors.New("boom")
+	sets := &failingSets{SetStore: randomStore(r, n, 200, 6), err: boom}
+	if err := cp.Append(sets); !errors.Is(err, boom) || sets.calls != 2 {
+		t.Fatalf("Append returned %v after %d chunk visits, want boom on the second", err, sets.calls)
+	}
+	got := cp.GreedyMaxCover(10)
+	if cp.NumSets() != 300 || !slices.Equal(got.Seeds, seeds) || got.NumCovered != want.NumCovered || cp.CoverageOf(seeds) != covered {
+		t.Fatalf("after a failed Append: %d sets, order %v covering %d (CoverageOf %d); want 300, %v, %d (%d)",
+			cp.NumSets(), got.Seeds, got.NumCovered, cp.CoverageOf(seeds), seeds, want.NumCovered, covered)
+	}
+}
+
 // TestAppendMatchesNewCoverageProblem appends random stores, with empty
 // sets and duplicate members, to one problem in one to five batches of
 // which some are empty. After every batch the set count, the degrees and
@@ -280,7 +325,7 @@ func TestAppendMatchesNewCoverageProblem(t *testing.T) {
 			if cut > before && r.Int31n(2) == 0 {
 				cp.GreedyMaxCover(int(r.Int31n(n + 1))) // partial order, restarted below
 			}
-			cp.Append(batch)
+			mustAppend(t, cp, batch)
 			appended = cut
 			data, _ := batch.Raw()
 			for i := range data {
@@ -305,7 +350,7 @@ func TestAppendMatchesNewCoverageProblem(t *testing.T) {
 			}
 			// An empty batch keeps the extended order.
 			lazy := cp.lazy
-			cp.Append(NewSetStore())
+			mustAppend(t, cp, NewSetStore())
 			if cp.lazy != lazy || len(cp.lazy.seeds) != int(n) {
 				t.Fatalf("%s: an empty Append dropped the greedy order", name)
 			}
@@ -335,7 +380,7 @@ func TestAppendChainsSegments(t *testing.T) {
 	for step := range 10 {
 		batch := randomStore(r, n, 3, 4)
 		store.AppendStore(batch)
-		cp.Append(batch)
+		mustAppend(t, cp, batch)
 		if got := cp.segments(); got != 1 {
 			t.Fatalf("small step %d: %d segments for %d sets, want 1", step, got, store.Len())
 		}
@@ -349,7 +394,7 @@ func TestAppendChainsSegments(t *testing.T) {
 		old := cp.inv.Load()
 		batch := randomStore(r, n, 200<<step, 20)
 		store.AppendStore(batch)
-		cp.Append(batch)
+		mustAppend(t, cp, batch)
 		seg := cp.inv.Load()
 		if seg.prev != old || cp.segments() != step+2 {
 			t.Fatalf("geometric step %d: %d segments, not the old chain plus one", step, cp.segments())

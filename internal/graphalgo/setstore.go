@@ -45,6 +45,13 @@ func (s *SetStore) Set(i int) []int32 {
 	return s.data[s.off[i]:s.off[i+1]]
 }
 
+// Chunks visits the whole store as one chunk: a store is Sets that
+// CoverageProblem.Append inverts.
+func (s *SetStore) Chunks(visit func(chunk *SetStore)) error {
+	visit(s)
+	return nil
+}
+
 // Append copies one set into the arena.
 func (s *SetStore) Append(set []int32) {
 	s.data = append(s.data, set...)

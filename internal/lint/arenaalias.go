@@ -41,12 +41,13 @@ var (
 )
 
 // rotatingSinks names call targets whose func(*SetStore) argument is a
-// rotating-arena sink (the streaming sampler's protocol): the batch store is
-// borrowed for exactly one invocation and is reset by the caller the moment
-// the sink returns, so a view that escapes the sink's scope is stale by
+// rotating-arena sink: the streaming sampler's batches (SampleStream) and
+// a spill replay's chunks (Chunks). The store is borrowed for exactly one
+// invocation and is reset or refilled by the caller the moment the sink
+// returns, so a view that escapes the sink's scope is stale by
 // construction. Recognition is by call name, matching the type-name-based
 // recognition above.
-var rotatingSinks = map[string]bool{"SampleStream": true}
+var rotatingSinks = map[string]bool{"SampleStream": true, "Chunks": true}
 
 // ArenaSummary is the inter-procedural aliasing contract of a function.
 type ArenaSummary struct {

@@ -79,3 +79,44 @@ func SuppressedRetention(s *Sampler) []int32 {
 	})
 	return last
 }
+
+// Spill is a miniature stand-in for a replayed spill: Chunks lends one
+// chunk store per visit and refills it for the next, so the analyzer
+// treats the visitor like a rotating sink.
+type Spill struct {
+	sets  [][]int32
+	chunk SetStore
+}
+
+// Chunks replays the sets two to a chunk, refilling the one chunk store.
+func (s *Spill) Chunks(visit func(chunk *SetStore)) error {
+	for i := 0; i < len(s.sets); i += 2 {
+		s.chunk.Reset()
+		for _, set := range s.sets[i:min(i+2, len(s.sets))] {
+			s.chunk.Append(set)
+		}
+		visit(&s.chunk)
+	}
+	return nil
+}
+
+// RetainReplayedChunk keeps a view of a replayed chunk past its visit: by
+// the time the replay returns, the chunk holds other sets.
+func RetainReplayedChunk(s *Spill) int32 {
+	var first []int32
+	_ = s.Chunks(func(chunk *SetStore) {
+		first = chunk.Set(0) // want arenaalias "escapes the sink"
+	})
+	return first[0]
+}
+
+// CountReplayed reads each chunk inside its visit, the endorsed pattern.
+func CountReplayed(s *Spill) int {
+	total := 0
+	_ = s.Chunks(func(chunk *SetStore) {
+		for i := 0; i+1 < len(chunk.off); i++ {
+			total += len(chunk.Set(i))
+		}
+	})
+	return total
+}
