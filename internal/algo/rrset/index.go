@@ -29,7 +29,7 @@ import (
 // its mutex.
 //
 // The inversion is the only copy of the sets the index keeps, in both
-// collection modes: a build releases the sampled arena as it inverts it
+// collection modes: a build releases each sampled arena as it inverts it
 // (or drops its spill), and a snapshot persists the inversion itself
 // (Inversion, NewIndexFromInversion). Every query answer is
 // byte-identical across collection modes and worker counts at the same
@@ -47,8 +47,10 @@ type Index struct {
 // determinism contract. Construction honors ctx's cooperative
 // budget/cancellation checks and accounts memory through ctx.Account, so
 // a budgeted build DNFs/Crashes exactly like the offline algorithms
-// would. The build peaks at one batch plus its inversion; once built, the
-// index is charged for its inversion alone.
+// would. A materialized build inverts its sets a bounded arena at a time
+// into a chain of segments, which it then compacts into the one segment
+// Inversion returns, so the build peaks at that chain plus its compacted
+// copy; once built, the index is charged for its inversion alone.
 func BuildIndex(ctx *core.Context, theta int64) (*Index, error) {
 	if theta < 1 {
 		theta = 1
@@ -65,6 +67,10 @@ func BuildIndex(ctx *core.Context, theta int64) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	before := cp.MemoryBytes()
+	built := cp.Compact()
+	ctx.Account(built) // built beside the chain it replaces
+	ctx.Account(cp.MemoryBytes() - before - built)
 	return &Index{n: ctx.G.N(), cp: cp}, nil
 }
 

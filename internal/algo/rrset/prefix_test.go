@@ -10,7 +10,9 @@ import (
 
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/datasets"
+	"github.com/sigdata/goinfmax/internal/diffusion"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
 
@@ -40,18 +42,30 @@ func freshIndexFunc(t *testing.T, arena, theta int64) func() *Index {
 	t.Helper()
 	g := weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 64, 1)).(*graph.Graph)
 	if arena == 0 {
-		// The sets BuildIndex samples at this seed, kept for re-inversion.
-		c := newCollection(core.NewContext(g, weights.IC, 1, 7))
-		if err := c.extend(theta); err != nil {
+		// The sets BuildIndex samples at this seed, kept for re-inversion:
+		// its one extend draws its base seed from the context's RNG. Their
+		// index must hold BuildIndex's own inversion, so every answer the
+		// tests compare is a real one.
+		ctx := core.NewContext(g, weights.IC, 1, 7)
+		store := graphalgo.NewSetStore()
+		if _, err := diffusion.NewRRSampler(g, weights.IC).SampleBatch(store, theta, ctx.RNG.Uint64(), 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		return func() *Index {
-			ix, err := NewIndexFromStore(g.N(), c.store)
+		fresh := func() *Index {
+			ix, err := NewIndexFromStore(g.N(), store)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ix
 		}
+		built, err := BuildIndex(core.NewContext(g, weights.IC, 1, 7), theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix := fresh(); ix.NumSets() != int(theta) || !sameInversion(ix, built) {
+			t.Fatalf("the %d re-inverted sets do not hold BuildIndex's inversion over %d", ix.NumSets(), theta)
+		}
+		return fresh
 	}
 	dir := t.TempDir()
 	return func() *Index {

@@ -33,66 +33,90 @@ import (
 var epsSpectrum = []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
 // collection accumulates RR sets with budget-aware accounting in one of two
-// modes, selected by Context.ArenaBytes. The mode decides only where the
-// pending sets, those no kept inversion holds, wait, and whether a cover's
-// inversion is kept; either way graphalgo.CoverageProblem.Append inverts
-// them.
+// modes, selected by Context.ArenaBytes. Either way the sets are sampled
+// into one bounded pending arena (diffusion.SampleStream), and whenever
+// the arena's sets fill its bound the collection flushes them; the mode
+// decides where a flush sends them and whether a cover's inversion is
+// kept, and graphalgo.CoverageProblem.Append inverts them either way. The
+// arena keeps its capacity, and its charge, from one flush to the next; a
+// cover flushes what is left and releases it, as reset and close do.
 //
-//   - Materialized (ArenaBytes == 0, the paper's measurement): the sets
-//     sampled since the last cover live in one flat SetStore arena, and a
-//     cover appends them to the next segment of one kept coverage problem
-//     and releases them, so each set is held once: raw until its cover,
-//     then as memberships. Context.Account is charged exactly what the
-//     collection holds, the pending arena's capacity plus the inversion's
-//     MemoryBytes, including the moment both exist, so the paper's M6
-//     memory-blow-up reproduction stays faithful and budgeted runs crash
-//     on the bytes they really hold.
-//   - Streaming (ArenaBytes > 0): sets are sampled through a bounded arena
-//     (diffusion.SampleStream) and every one waits in a spill file; a
-//     cover appends the whole spill to a fresh problem, whose inversion
-//     is one segment, and drops it after the greedy. Resident memory is
-//     the arena bound plus the spill's I/O buffer and replay chunk (each
-//     sized min(arena bound, 16 KiB); the chunk grows to the longest set)
-//     plus, only while a greedy cover runs, one inversion, and all of it
-//     is accounted.
+//   - Materialized (ArenaBytes == 0, the paper's measurement): a flush
+//     appends the arena's sets to the next segment of one kept coverage
+//     problem, so each set is held once: raw until its flush, then as
+//     memberships. The bound comes from the node count (arenaBound), so
+//     a segment's offsets stay small next to its memberships, and a
+//     partial fill waits in the arena from one extend to the next rather
+//     than pay a segment's offsets early. Context.Account is charged
+//     exactly what the collection holds, the pending arena's capacity
+//     plus the inversion's MemoryBytes, including the moment both exist,
+//     so the paper's M6 memory-blow-up reproduction stays faithful and
+//     budgeted runs crash on the bytes they really hold.
+//   - Streaming (ArenaBytes > 0, the arena's bound): a flush adds the
+//     arena's sets to a spill file, and an extend ends with one, so
+//     between extends every set waits on disk; a cover appends the whole
+//     spill to a fresh problem, whose inversion is one segment, and drops
+//     it after the greedy. Resident memory is the arena while an extend
+//     samples, the spill's I/O buffer and replay chunk (each sized
+//     min(arena bound, 16 KiB); the chunk grows to the longest set) and,
+//     only while a greedy cover runs, one inversion, and all of it is
+//     accounted.
 //
 // Both modes draw exactly one ctx.RNG value per extend and derive per-sample
-// streams from it by global index, so seeds and extrapolated spreads are
-// byte-identical across modes, worker counts and graph backends.
+// streams from it by global index, and set i of the collection gets id i
+// in either mode, so seeds and extrapolated spreads are byte-identical
+// across modes, worker counts and graph backends.
 type collection struct {
 	ctx     *core.Context
 	sampler *diffusion.RRSampler
-	store   *graphalgo.SetStore        // materialized mode: the sets sampled since the last cover
-	cp      *graphalgo.CoverageProblem // the kept inversion of every earlier set; empty when streaming
-	spill   *graphalgo.Spill           // streaming mode: every set (nil when materialized)
+	arena   *graphalgo.SetStore        // the pending sets: sampled since the last flush
+	bound   int64                      // the arena's flush bound in bytes
+	cp      *graphalgo.CoverageProblem // the kept inversion of every flushed set; empty when streaming
+	spill   *graphalgo.Spill           // streaming mode: every flushed set (nil when materialized)
 }
 
-// collectionHook, when non-nil, is called with every new collection and
-// again after each of its covers. Tests use it to check what a
-// selector's collections hold.
-var collectionHook func(*collection)
+// arenaBound is the materialized arena's bound over n nodes: 16 times the
+// n+1 offsets of the segment a flush adds, and at least 1 MiB. About
+// three quarters of a full arena's bytes become memberships, so a
+// segment's offsets stay near a twelfth of them and Append chains the
+// segments instead of merging them.
+func arenaBound(n int32) int64 {
+	return max(1<<20, 16*8*(int64(n)+1))
+}
+
+// collectionHook, when non-nil, is called with a collection at each of
+// its checkpoints: at is "new", "flush", "extend" or "cover", called once
+// the collection is made and at the end of each flush, extend and cover.
+// Tests use it to check what a selector's collections hold.
+var collectionHook func(c *collection, at string)
 
 func newCollection(ctx *core.Context) *collection {
+	n := ctx.G.N()
 	c := &collection{
 		ctx:     ctx,
 		sampler: diffusion.NewRRSampler(ctx.G, ctx.Model),
-		store:   graphalgo.NewSetStore(),
+		arena:   graphalgo.NewSetStore(),
+		bound:   ctx.ArenaBytes,
 	}
 	c.sampler.StealChunk = ctx.StealChunk
-	c.cp = graphalgo.NewCoverageProblem(ctx.G.N(), c.store)
-	if ctx.ArenaBytes > 0 {
-		c.spill = graphalgo.NewSpill(ctx.G.N(), ctx.SpillDir, ctx.ArenaBytes)
+	c.cp = graphalgo.NewCoverageProblem(n, c.arena)
+	if c.bound > 0 {
+		c.spill = graphalgo.NewSpill(n, ctx.SpillDir, c.bound)
+	} else {
+		c.bound = arenaBound(n)
 	}
 	if collectionHook != nil {
-		collectionHook(c)
+		collectionHook(c, "new")
 	}
 	return c
 }
 
-// close releases streaming-mode resources (the spill file and its
-// accounted buffers). Algorithms defer it; materialized mode is a no-op —
-// the collection's charge stays visible until the run ends, as before.
+// close releases the pending arena and, when streaming, the spill file
+// and its buffers, crediting them. Algorithms defer it. A materialized
+// collection's inversion stays charged until the run ends: the seeds a
+// selector returns are a prefix of its greedy order.
 func (c *collection) close() {
+	c.release()
 	if c.spill != nil {
 		c.ctx.Account(-c.spill.MemoryBytes())
 		// Best-effort: a leaked temp file is the worst case, and the OS
@@ -102,18 +126,13 @@ func (c *collection) close() {
 	}
 }
 
-// pending returns the sets no kept inversion holds: the spill when
-// streaming, else the store of sets sampled since the last cover.
-func (c *collection) pending() graphalgo.Sets {
-	if c.spill != nil {
-		return c.spill
-	}
-	return c.store
-}
-
 // size returns the number of sets currently held.
 func (c *collection) size() int64 {
-	return int64(c.cp.NumSets() + c.pending().Len())
+	flushed := c.cp.NumSets()
+	if c.spill != nil {
+		flushed = c.spill.Len()
+	}
+	return int64(flushed + c.arena.Len())
 }
 
 // extend samples RR sets until the collection holds target sets, fanning
@@ -127,35 +146,58 @@ func (c *collection) extend(target int64) error {
 	if need <= 0 {
 		return nil
 	}
-	baseSeed := c.ctx.RNG.Uint64()
-	var added int64
-	var err error
-	if c.spill != nil {
-		before := c.spill.MemoryBytes()
-		added, err = c.sampler.SampleStream(need, baseSeed, c.streamConfig(),
-			c.spill.Add, c.ctx.Check, c.ctx.Account)
-		c.ctx.Account(c.spill.MemoryBytes() - before)
-	} else {
-		added, err = c.sampler.SampleBatch(c.store, need, baseSeed,
-			c.ctx.SampleWorkers(), c.ctx.Check, c.ctx.Account)
-	}
+	added, err := c.sampler.SampleStream(need, c.ctx.RNG.Uint64(), c.streamConfig(),
+		c.arena, c.flush, c.ctx.Check, c.ctx.Account)
 	c.ctx.Lookups += added // one lookup = one RR set sampled
+	if err == nil && c.spill != nil {
+		// A spill holds its sets in no memory of its own, so a streaming
+		// extend spills its last partial fill too and releases the arena:
+		// between extends its pending sets wait on disk.
+		err = c.flush(c.arena)
+		c.release()
+	}
+	if collectionHook != nil {
+		collectionHook(c, "extend")
+	}
 	return err
 }
 
 func (c *collection) streamConfig() diffusion.StreamConfig {
 	return diffusion.StreamConfig{
-		ArenaBytes: c.ctx.ArenaBytes,
+		ArenaBytes: c.bound,
 		Workers:    c.ctx.SampleWorkers(),
 	}
 }
 
-// release drops the store's sets and credits their arena back, returning
-// the store to the empty state it started from.
+// flush sends the arena's sets where the mode keeps them, the kept
+// inversion or the spill, charging what that adds, and empties the arena,
+// keeping its capacity and its charge. The inversion's growth is charged
+// while the arena still is, so the peak counts the arena, the chain and
+// the new segment together.
+func (c *collection) flush(arena *graphalgo.SetStore) error {
+	var err error
+	if c.spill != nil {
+		before := c.spill.MemoryBytes()
+		err = c.spill.Add(arena)
+		c.ctx.Account(c.spill.MemoryBytes() - before)
+	} else {
+		before := c.cp.MemoryBytes()
+		err = c.cp.Append(arena)
+		c.ctx.Account(c.cp.MemoryBytes() - before)
+	}
+	if collectionHook != nil {
+		collectionHook(c, "flush")
+	}
+	arena.Truncate()
+	return err
+}
+
+// release drops the arena's sets and capacity and credits its charge,
+// returning the arena to the empty state it started from.
 func (c *collection) release() {
-	arena := c.store.Bytes()
-	c.store.Reset()
-	c.ctx.Account(c.store.Bytes() - arena)
+	held := c.arena.Bytes()
+	c.arena.Reset()
+	c.ctx.Account(c.arena.Bytes() - held)
 }
 
 // reset discards all sets (between IMM's sampling and selection phases the
@@ -165,30 +207,32 @@ func (c *collection) release() {
 func (c *collection) reset() error {
 	c.release()
 	c.ctx.Account(-c.cp.MemoryBytes())
-	c.cp = graphalgo.NewCoverageProblem(c.ctx.G.N(), c.store)
+	c.cp = graphalgo.NewCoverageProblem(c.ctx.G.N(), c.arena)
 	if c.spill != nil {
 		return c.spill.Reset()
 	}
 	return nil
 }
 
-// problem returns the coverage problem over every set, charged to the
-// context. Append inverts the pending sets onto the kept problem, which
-// then holds each set once, or, when streaming, onto a fresh problem,
-// whose inversion is one segment and which the caller credits when done.
-// The inversion is charged before the materialized arena is released, so
-// the peak counts both.
+// problem flushes the arena and returns the coverage problem over every
+// set, charged to the context: the kept one, or, when streaming, a fresh
+// one that inverts the whole spill as one segment, which the caller
+// credits when done. The arena is released first: no sampling fills it
+// again before the next extend, and a streaming inversion built beside it
+// would hold both.
 func (c *collection) problem() (*graphalgo.CoverageProblem, error) {
-	cp := c.cp
-	if c.spill != nil {
-		cp = graphalgo.NewCoverageProblem(c.ctx.G.N(), graphalgo.NewSetStore())
-	}
-	before := cp.MemoryBytes()
-	if err := cp.Append(c.pending()); err != nil {
+	if err := c.flush(c.arena); err != nil {
 		return nil, err
 	}
-	c.ctx.Account(cp.MemoryBytes() - before)
 	c.release()
+	if c.spill == nil {
+		return c.cp, nil
+	}
+	cp := graphalgo.NewCoverageProblem(c.ctx.G.N(), c.arena)
+	if err := cp.Append(c.spill); err != nil {
+		return nil, err
+	}
+	c.ctx.Account(cp.MemoryBytes())
 	return cp, nil
 }
 
@@ -207,22 +251,23 @@ func (c *collection) cover(k int) ([]graph.NodeID, float64, error) {
 		c.ctx.Account(-cp.MemoryBytes())
 	}
 	if collectionHook != nil {
-		collectionHook(c)
+		collectionHook(c, "cover")
 	}
 	return res.Seeds, res.Fraction, nil
 }
 
 // coveredBy returns how many of the collection's sets contain at least one
 // of seeds (SSA's stare statistic). The kept inversion counts its sets;
-// the pending ones are scanned against a node bitset of the seeds, so a
-// streaming count replays the spill and builds no inversion.
+// the pending ones, spilled and in the arena, are scanned against a node
+// bitset of the seeds, so a streaming count replays the spill and builds
+// no inversion.
 func (c *collection) coveredBy(seeds []graph.NodeID) (int64, error) {
 	covered := c.cp.CoverageOf(seeds)
 	inSeed := graphalgo.NewBitset(int(c.ctx.G.N()))
 	for _, s := range seeds {
 		inSeed.Set(int(s))
 	}
-	err := c.pending().Chunks(func(chunk *graphalgo.SetStore) {
+	count := func(chunk *graphalgo.SetStore) {
 		for i := range chunk.Len() {
 			for _, v := range chunk.Set(i) {
 				if inSeed.Test(int(v)) {
@@ -231,26 +276,39 @@ func (c *collection) coveredBy(seeds []graph.NodeID) (int64, error) {
 				}
 			}
 		}
-	})
-	return covered, err
+	}
+	if c.spill != nil {
+		if err := c.spill.Chunks(count); err != nil {
+			return 0, err
+		}
+	}
+	count(c.arena)
+	return covered, nil
 }
 
 // ephemeral samples count transient RR sets — sampled, visited, discarded —
 // and calls visit once per set in global sample order. The sets stream
-// through a bounded arena the context is not charged for (TIM+'s KPT
-// batches, which the original likewise never charged), so the KPT
-// estimation phase runs in bounded memory in either mode. Consumes exactly
-// one ctx.RNG draw.
+// through an arena of the collection's bound that the context is not
+// charged for (TIM+'s KPT batches, which the original likewise never
+// charged) and that keeps its capacity from one fill to the next, so the
+// KPT estimation phase runs in bounded memory in either mode. Consumes
+// exactly one ctx.RNG draw.
 func (c *collection) ephemeral(count int64, visit func(set []graph.NodeID)) error {
+	sink := func(arena *graphalgo.SetStore) error {
+		for j := range arena.Len() {
+			visit(arena.Set(j))
+		}
+		arena.Truncate()
+		return nil
+	}
+	arena := graphalgo.NewSetStore()
 	added, err := c.sampler.SampleStream(count, c.ctx.RNG.Uint64(), c.streamConfig(),
-		func(batch *graphalgo.SetStore) error {
-			for j := 0; j < batch.Len(); j++ {
-				visit(batch.Set(j))
-			}
-			return nil
-		}, c.ctx.Check, nil)
+		arena, sink, c.ctx.Check, nil)
 	c.ctx.Lookups += added
-	return err
+	if err != nil {
+		return err
+	}
+	return sink(arena) // the last partial fill
 }
 
 // logNChooseK computes ln C(n, k) via lgamma.

@@ -9,6 +9,7 @@ import (
 	"github.com/sigdata/goinfmax/internal/core"
 	"github.com/sigdata/goinfmax/internal/datasets"
 	"github.com/sigdata/goinfmax/internal/graph"
+	"github.com/sigdata/goinfmax/internal/graphalgo"
 	"github.com/sigdata/goinfmax/internal/rng"
 	"github.com/sigdata/goinfmax/internal/weights"
 )
@@ -211,6 +212,39 @@ func TestStreamingPeakNoHigherThanMaterialized(t *testing.T) {
 			if peak[1] > peak[0] {
 				t.Errorf("%s k=%d: streaming peak %d B above the materialized %d B", alg.Name(), k, peak[1], peak[0])
 			}
+		}
+	}
+}
+
+// TestStreamingExtendSpillsItsArena: a streaming extend spills its last
+// partial fill and releases the arena, since a spill holds its sets in no
+// memory of its own, so between extends a streaming collection, SSA's
+// never-covering verification collection included, holds no raw set and
+// no arena capacity.
+func TestStreamingExtendSpillsItsArena(t *testing.T) {
+	g := weights.WeightedCascade{}.Apply(datasets.MustGenerate("nethept", 16, 1))
+	entry := graphalgo.NewSetStore().Bytes()
+	t.Cleanup(func() { collectionHook = nil })
+	for _, alg := range []core.Algorithm{IMM{}, SSA{}} {
+		extends := 0
+		collectionHook = func(c *collection, at string) {
+			if at != "extend" {
+				return
+			}
+			extends++
+			if c.arena.Len() != 0 || c.arena.Bytes() != entry {
+				t.Errorf("%s extend %d: %d raw sets in %d B held after a streaming extend", alg.Name(), extends, c.arena.Len(), c.arena.Bytes())
+			}
+		}
+		ctx := core.NewContext(g, weights.IC, 10, 42)
+		ctx.ParamValue = 0.2
+		ctx.ArenaBytes = 4096
+		ctx.SpillDir = t.TempDir()
+		if _, err := alg.Select(ctx); err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if extends < 2 {
+			t.Errorf("%s: %d extends, want a multi-round run", alg.Name(), extends)
 		}
 	}
 }

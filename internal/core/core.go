@@ -120,13 +120,16 @@ type Context struct {
 	// cells single-threaded by default as in the paper's study.
 	Workers int
 	// ArenaBytes > 0 switches the RR-set algorithms to streaming sampling:
-	// sets accumulate in an arena bounded (approximately) by this many
-	// bytes, rotating full batches into a spill file of raw sets, which
-	// each cover inverts and drops after its greedy. The spill's I/O
-	// buffer and replay chunk are each sized min(this bound, 16 KiB).
-	// Results are byte-identical to the default materialized mode; only
-	// the resident footprint changes. 0 keeps the materialized mode (the
-	// paper's measurement).
+	// sets accumulate in an arena whose sets stay under this many bytes
+	// (its capacity within a few percent of it), flushed into a spill
+	// file of raw sets whenever it fills and at the end of each
+	// extension; each cover inverts the spill and drops that inversion
+	// after its greedy. The spill's I/O buffer and replay chunk are each
+	// sized min(this bound, 16 KiB). Results are byte-identical to the
+	// default materialized mode; only the resident footprint changes. 0
+	// keeps the materialized mode (the paper's measurement), whose arena
+	// bound is derived from the node count and whose flushes append to
+	// the kept inversion.
 	ArenaBytes int64
 	// SpillDir hosts streaming-mode spill files ("" = system temp dir).
 	SpillDir string

@@ -48,9 +48,10 @@ type RunConfig struct {
 	Workers int
 
 	// ArenaBytes > 0 bounds the resident RR-set arena of the sampling
-	// phases and keeps the raw sets in a spill file (streaming mode; see
-	// Context.ArenaBytes). Seeds and spread estimates are byte-identical
-	// to the default materialized mode.
+	// phases at this many bytes and keeps the raw sets in a spill file
+	// (streaming mode; see Context.ArenaBytes). 0 keeps the materialized
+	// mode, whose arena bound comes from the node count. Seeds and spread
+	// estimates are byte-identical in either mode.
 	ArenaBytes int64
 	// SpillDir hosts streaming-mode spill files ("" = system temp dir).
 	SpillDir string

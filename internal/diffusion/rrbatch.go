@@ -58,7 +58,7 @@ func sampleSeed(base uint64, i int64) uint64 {
 // ArcsTraversed counter aggregates the whole batch either way. Returns the
 // number of sets actually appended (== count unless poll aborted).
 func (s *RRSampler) SampleBatch(store *graphalgo.SetStore, count int64, baseSeed uint64, workers int, poll func() error, account func(delta int64)) (int64, error) {
-	return s.sampleBatchAt(store, 0, count, baseSeed, workers, poll, account)
+	return s.sampleBatchAt(store, 0, count, baseSeed, workers, 0, poll, account)
 }
 
 // sampleBatchAt is SampleBatch generalized to a global index window: it
@@ -66,7 +66,10 @@ func (s *RRSampler) SampleBatch(store *graphalgo.SetStore, count int64, baseSeed
 // i's RNG stream depends only on (baseSeed, i), a sequence of window calls
 // covering [0, θ) yields exactly the sets one SampleBatch(θ) call would —
 // the streaming sampler's determinism reduces to the batch sampler's.
-func (s *RRSampler) sampleBatchAt(store *graphalgo.SetStore, first, count int64, baseSeed uint64, workers int, poll func() error, account func(delta int64)) (int64, error) {
+// reservation, when positive, is the serial path's element reservation
+// (see sampleReserved); the parallel path's merge grows the store by
+// exactly what its shards hold.
+func (s *RRSampler) sampleBatchAt(store *graphalgo.SetStore, first, count int64, baseSeed uint64, workers int, reservation int64, poll func() error, account func(delta int64)) (int64, error) {
 	if count <= 0 {
 		return 0, nil
 	}
@@ -85,7 +88,7 @@ func (s *RRSampler) sampleBatchAt(store *graphalgo.SetStore, first, count int64,
 		if account != nil {
 			acct = func(extra int64) { charge(store.Bytes() + extra - entryBytes) }
 		}
-		added, err := s.sampleReserved(store, first, first+count, baseSeed, poll, acct)
+		added, err := s.sampleReserved(store, first, first+count, baseSeed, reservation, poll, acct)
 		charge(store.Bytes() - entryBytes)
 		return added, err
 	}
@@ -197,7 +200,9 @@ func (s *RRSampler) sampleBatchAt(store *graphalgo.SetStore, first, count int64,
 // The serial batch therefore reserves the arena up front: offsets for
 // exactly the batch's count, and elements for count × the store's mean set
 // size, padded by reserveMargin. An empty store first samples
-// reserveProbe sets to learn that mean. A short reservation falls back to
+// reserveProbe sets to learn that mean. A caller that knows better, a
+// stream sized by every set it sampled, passes its own element
+// reservation instead. A short reservation falls back to
 // append's growth, so the arena's capacity stays within append's own
 // slack of its length either way, and SetStore.Bytes, which the M6
 // memory accounting charges, keeps reporting the true footprint.
@@ -224,17 +229,19 @@ const reserveMargin = 1.05
 const reserveStep = 8 << 10
 
 // sampleReserved is sampleRange behind the arena reservation: it draws
-// samples [lo, hi) into store, polling as sampleRange does. account, when
-// non-nil, charges the store's footprint plus extra bytes not yet
-// allocated; it runs after every append and before every reservation.
-func (s *RRSampler) sampleReserved(store *graphalgo.SetStore, lo, hi int64, baseSeed uint64, poll func() error, account func(extra int64)) (int64, error) {
+// samples [lo, hi) into store, polling as sampleRange does. elems, when
+// positive, is the caller's element reservation; otherwise the store's
+// mean sizes it. account, when non-nil, charges the store's footprint
+// plus extra bytes not yet allocated; it runs after every append and
+// before every reservation.
+func (s *RRSampler) sampleReserved(store *graphalgo.SetStore, lo, hi int64, baseSeed uint64, elems int64, poll func() error, account func(extra int64)) (int64, error) {
 	var onAppend func()
 	if account != nil {
 		onAppend = func() { account(0) }
 	}
 	reserve(store, int(hi-lo), 0, poll, account)
 	added := int64(0)
-	if store.Len() == 0 {
+	if elems <= 0 && store.Len() == 0 {
 		probe := min(hi-lo, reserveProbe)
 		n, err := s.sampleRange(store, lo, lo+probe, baseSeed, poll, nil, onAppend)
 		added, lo = n, lo+probe
@@ -242,9 +249,12 @@ func (s *RRSampler) sampleReserved(store *graphalgo.SetStore, lo, hi int64, base
 			return added, err
 		}
 	}
-	if sets := store.Len(); sets > 0 && lo < hi {
+	if sets := store.Len(); elems <= 0 && sets > 0 && lo < hi {
 		mean := float64(store.NumElems()) / float64(sets)
-		reserve(store, 0, int64(float64(hi-lo)*mean*reserveMargin), poll, account)
+		elems = int64(float64(hi-lo) * mean * reserveMargin)
+	}
+	if elems > 0 {
+		reserve(store, 0, elems, poll, account)
 	}
 	n, err := s.sampleRange(store, lo, hi, baseSeed, poll, nil, onAppend)
 	return added + n, err

@@ -72,15 +72,17 @@ func TestSampleStreamStealDeterminismSkew(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 16} {
 		s := NewRRSampler(g, weights.IC)
 		s.StealChunk = 1
-		got := graphalgo.NewSetStore()
+		got, arena := graphalgo.NewSetStore(), graphalgo.NewSetStore()
 		delivered, err := s.SampleStream(count, baseSeed, StreamConfig{ArenaBytes: 8 << 10, Workers: workers},
-			func(batch *graphalgo.SetStore) error {
+			arena, func(batch *graphalgo.SetStore) error {
 				got.AppendStore(batch)
+				batch.Truncate()
 				return nil
 			}, nil, nil)
 		if err != nil || delivered != count {
 			t.Fatalf("workers=%d: delivered=%d err=%v", workers, delivered, err)
 		}
+		got.AppendStore(arena)
 		if want == nil {
 			want = got
 			continue

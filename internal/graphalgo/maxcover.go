@@ -38,6 +38,9 @@ import (
 // id NumSets()+i, so the segments hold disjoint, ascending ranges of ids.
 // Append is the only inversion of RR sets: a batch is a SetStore in
 // memory or a Spill replayed from disk, read through the same two passes.
+// Compact rewrites a chain as the one segment Inversion returns, through
+// the same merge that Append runs while a chain's offsets outweigh its
+// memberships.
 
 // CoverageProblem is a universe of sets over node elements, consumed in
 // batches and inverted into per-node membership indexes, one flat CSR
@@ -95,37 +98,80 @@ func (inv *inversion) degree(v int32) int64 {
 	return d
 }
 
-// count is Append's counting pass over one chunk, whose first set is set
-// base of the pass: off[v+1] gains one for each set of the chunk that
-// holds node v. last[v] is 1 + the last set that counted v, so a
-// duplicate entry of v within one set counts once. The loops of both
-// passes are kept out of Append's visitor closures, which ran them
-// measurably slower.
-func (inv *inversion) count(chunk *SetStore, last []int32, base int32) {
+// count is Append's counting pass over one chunk: off[v+1] gains one for
+// each set of the chunk that holds node v. A set's first entry of v
+// counts it and flips off[v+1] negative (^(count+1)), so a duplicate
+// entry, which finds it negative, does not count again; a second walk
+// over the set flips its nodes back. The walk reads only what the first
+// one just wrote, so the marks cost no memory and no cache miss of their
+// own. The loops of both passes are kept out of Append's visitor
+// closures, which ran them measurably slower.
+func (inv *inversion) count(chunk *SetStore) {
 	for i := range chunk.Len() {
-		mark := base + int32(i+1)
-		for _, v := range chunk.Set(i) {
-			if last[v] != mark {
-				last[v] = mark
-				inv.off[v+1]++
+		set := chunk.Set(i)
+		for _, v := range set {
+			if c := inv.off[v+1]; c >= 0 {
+				inv.off[v+1] = ^(c + 1)
+			}
+		}
+		for _, v := range set {
+			if c := inv.off[v+1]; c < 0 {
+				inv.off[v+1] = ^c
 			}
 		}
 	}
 }
 
 // scatter is Append's scatter pass over one chunk: set i of the chunk,
-// id first+base+i, is written once into the run of each node it holds
-// at off[v+1], which then advances. It stores the negation of count's
-// marks, so the two passes share last without clearing it.
-func (inv *inversion) scatter(chunk *SetStore, last []int32, first, base int32) {
+// id first+i, is written once into the run of each node it holds at
+// off[v+1], which then advances. It marks duplicate entries as count
+// does, flipping the advanced off[v+1] negative until the set's second
+// walk.
+func (inv *inversion) scatter(chunk *SetStore, first int32) {
 	for i := range chunk.Len() {
-		mark, id := -(base + int32(i+1)), first+base+int32(i)
-		for _, v := range chunk.Set(i) {
-			if last[v] != mark {
-				last[v] = mark
-				inv.data[inv.off[v+1]] = id
-				inv.off[v+1]++
+		set, id := chunk.Set(i), first+int32(i)
+		for _, v := range set {
+			if c := inv.off[v+1]; c >= 0 {
+				inv.data[c] = id
+				inv.off[v+1] = ^(c + 1)
 			}
+		}
+		for _, v := range set {
+			if c := inv.off[v+1]; c < 0 {
+				inv.off[v+1] = ^c
+			}
+		}
+	}
+}
+
+// lay turns the per-node counts in off[v+1] into the segment's layout and
+// allocates its memberships. Each node's run starts with its runs in
+// chain, oldest segment first, and off[v+1] ends up past them, where the
+// node's next membership goes: Append's scatter then advances it to the
+// run's end, which is v+1's start. chain is noSets, or the chain the
+// segment replaces: Append's merge and Compact both lay a segment over
+// it.
+func (inv *inversion) lay(chain *inversion) {
+	start := int64(0)
+	for v := range int32(len(inv.off) - 1) {
+		count := inv.off[v+1]
+		if chain != noSets {
+			count += chain.degree(v)
+		}
+		inv.off[v+1] = start
+		start += count
+	}
+	inv.data = make([]int32, start)
+	if chain == noSets {
+		return
+	}
+	var segs []*inversion // newest first
+	for seg := chain; seg != noSets; seg = seg.prev {
+		segs = append(segs, seg)
+	}
+	for v := range int32(len(inv.off) - 1) {
+		for i := len(segs) - 1; i >= 0; i-- {
+			inv.off[v+1] += int64(copy(inv.data[inv.off[v+1]:], segs[i].run(v)))
 		}
 	}
 }
@@ -180,9 +226,9 @@ func NewCoverageProblemFromInversion(n int32, numSets int, off []int64, data []i
 // Inversion returns the membership index as one CSR over all NumSets
 // sets: data[off[v]:off[v+1]] lists the sets that contain node v, in
 // ascending order. The arrays are the problem's own and must not be
-// modified. It is defined for a problem built in one step, whose
-// inversion is one segment; calling it after an Append chained a second
-// segment is a bug.
+// modified. It is defined for a problem built in one step or compacted,
+// whose inversion is one segment; calling it after an Append chained a
+// second segment is a bug.
 func (cp *CoverageProblem) Inversion() (numSets int, off []int64, data []int32) {
 	switch inv := cp.inv.Load(); {
 	case inv == noSets:
@@ -192,6 +238,26 @@ func (cp *CoverageProblem) Inversion() (numSets int, off []int64, data []int32) 
 	default:
 		return inv.numSets, inv.off, inv.data
 	}
+}
+
+// Compact rewrites a chain of segments as one, laid out as Append's merge
+// lays one, so Inversion can return it: the problem then holds what
+// NewCoverageProblemFromInversion adopts from its Inversion. No set id
+// moves, so the greedy's state is kept. It returns the bytes of the
+// segment it built, zero when the inversion was one segment already: the
+// segment is built beside the chain it replaces, so for a moment the
+// problem holds both.
+func (cp *CoverageProblem) Compact() (built int64) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	old := cp.inv.Load()
+	if old == noSets || old.prev == noSets {
+		return 0
+	}
+	seg := &inversion{numSets: old.numSets, off: make([]int64, cp.n+1), prev: noSets}
+	seg.lay(old)
+	cp.inv.Store(seg)
+	return int64(cap(seg.off))*8 + int64(cap(seg.data))*4
 }
 
 // Sets is a sequence of sets for Append to invert: a SetStore held in
@@ -230,52 +296,25 @@ func (cp *CoverageProblem) Append(sets Sets) error {
 		return nil
 	}
 	old := cp.inv.Load()
-	first, n := old.numSets, cp.n
-	var chain []*inversion // newest first
-	elems := sets.NumElems()
+	first, n := int32(old.numSets), cp.n
+	segs, elems := int64(1), sets.NumElems()
 	for seg := old; seg != noSets; seg = seg.prev {
-		chain = append(chain, seg)
+		segs++
 		elems += int64(len(seg.data))
 	}
-	merge := int64(len(chain)+1)*int64(n+1)*8 > elems*4
-	seg := &inversion{numSets: first + added, off: make([]int64, n+1), prev: old}
-	if merge {
-		seg.prev = noSets
+	seg, chain := &inversion{numSets: old.numSets + added, off: make([]int64, n+1), prev: old}, noSets
+	if segs*int64(n+1)*8 > elems*4 {
+		seg.prev, chain = noSets, old
 	}
-	last := make([]int32, n) // shared by both passes, see count
-	read := int32(0)         // sets the pass has read
-	err := sets.Chunks(func(chunk *SetStore) {
-		seg.count(chunk, last, read)
-		read += int32(chunk.Len())
-	})
-	if err != nil {
-		return err
+	err := sets.Chunks(func(chunk *SetStore) { seg.count(chunk) })
+	if err == nil {
+		seg.lay(chain)
+		next := first // id of the next set the pass reads
+		err = sets.Chunks(func(chunk *SetStore) {
+			seg.scatter(chunk, next)
+			next += int32(chunk.Len())
+		})
 	}
-	// off[v+1] holds v's count; it becomes v's start, where v's first
-	// membership goes. The copy of the chain's runs and the scatter
-	// advance it, so it ends at v's end, which is v+1's start.
-	start := int64(0)
-	for v := range n {
-		count := seg.off[v+1]
-		if merge {
-			count += old.degree(v)
-		}
-		seg.off[v+1] = start
-		start += count
-	}
-	seg.data = make([]int32, start)
-	if merge {
-		for v := range n {
-			for i := len(chain) - 1; i >= 0; i-- {
-				seg.off[v+1] += int64(copy(seg.data[seg.off[v+1]:], chain[i].run(v)))
-			}
-		}
-	}
-	read = 0
-	err = sets.Chunks(func(chunk *SetStore) {
-		seg.scatter(chunk, last, int32(first), read)
-		read += int32(chunk.Len())
-	})
 	if err != nil {
 		return err
 	}

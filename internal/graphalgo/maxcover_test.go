@@ -3,6 +3,7 @@ package graphalgo
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -264,6 +265,91 @@ func TestAppendErrorPublishesNothing(t *testing.T) {
 	if cp.NumSets() != 300 || !slices.Equal(got.Seeds, seeds) || got.NumCovered != want.NumCovered || cp.CoverageOf(seeds) != covered {
 		t.Fatalf("after a failed Append: %d sets, order %v covering %d (CoverageOf %d); want 300, %v, %d (%d)",
 			cp.NumSets(), got.Seeds, got.NumCovered, cp.CoverageOf(seeds), seeds, want.NumCovered, covered)
+	}
+	// The failed counting pass marked the sets under the ids a retry
+	// reads them with again; the retry must count every membership.
+	all := randomStore(rng.New(0xe77), n, 300, 6)
+	all.AppendStore(sets.SetStore)
+	mustAppend(t, cp, sets.SetStore)
+	if g, w := cp.degrees(), NewCoverageProblem(n, all).degrees(); !slices.Equal(g, w) {
+		t.Fatalf("retried Append: degrees %v, want %v", g, w)
+	}
+}
+
+// TestAppendAllocatesNoMarks: an Append marks duplicate entries in its
+// segment's own offsets, so it allocates nothing per node beyond them.
+// Its allocations are the segment (the header and its two arrays), the
+// cover marks, and its two pass visitors with their set cursor, and the
+// bytes it allocates are the segment's and the cover marks' plus a few
+// dozen: an array of n marks would add 4n.
+func TestAppendAllocatesNoMarks(t *testing.T) {
+	r := rng.New(0x3a4)
+	const n = 2000
+	cp := NewCoverageProblem(n, NewSetStore())
+	batch := randomStore(r, n, 20000, 8)
+	mustAppend(t, cp, batch)
+	if allocs := testing.AllocsPerRun(10, func() { _ = cp.Append(batch) }); allocs != 7 {
+		t.Fatalf("an Append made %v allocations, want 7: the segment, its two arrays, the cover marks and the passes' three", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustAppend(t, cp, batch)
+	runtime.ReadMemStats(&after)
+	seg := cp.inv.Load()
+	held := int64(cap(seg.off))*8 + int64(cap(seg.data))*4 + cp.covered.Bytes()
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > held+1<<10 {
+		t.Fatalf("an Append allocated %d B, over its segment and cover marks' %d B", got, held)
+	}
+	if cp.segments() < 2 {
+		t.Fatalf("%d segments: the Appends merged instead of chaining", cp.segments())
+	}
+}
+
+// TestCompactMatchesNewCoverageProblem: Compact rewrites a chain of
+// segments, grown by Appends of random batches, as the one segment
+// NewCoverageProblem builds over every set appended so far, byte for
+// byte, reports that segment's bytes, and keeps the greedy order already
+// picked; the compacted problem reports the bytes of one adopted from its
+// Inversion. A problem of one segment, or of none, is left as it is.
+func TestCompactMatchesNewCoverageProblem(t *testing.T) {
+	r := rng.New(0xc0c)
+	for trial := 0; trial < 20; trial++ {
+		n := int32(1 + r.Int31n(60))
+		store := NewSetStore()
+		cp := NewCoverageProblem(n, NewSetStore())
+		cp.Compact()
+		if numSets, off, data := cp.Inversion(); numSets != 0 || len(off) != int(n)+1 || data != nil {
+			t.Fatalf("trial %d: compacting an empty problem gave %d sets", trial, numSets)
+		}
+		for range 1 + r.Int31n(5) {
+			batch := randomStore(r, n, int(200+r.Int31n(400)), 10)
+			store.AppendStore(batch)
+			mustAppend(t, cp, batch)
+		}
+		k := int(r.Int31n(n + 1))
+		order := slices.Clone(cp.GreedyMaxCover(k).Seeds)
+		chained := cp.segments()
+		built := cp.Compact()
+		gotSets, gotOff, gotData := cp.Inversion()
+		wantSets, wantOff, wantData := NewCoverageProblem(n, store).Inversion()
+		if gotSets != wantSets || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotData, wantData) ||
+			cap(gotOff) != len(gotOff) || cap(gotData) != len(gotData) {
+			t.Fatalf("trial %d: compacted inversion of %d segments differs from NewCoverageProblem's", trial, chained)
+		}
+		if got := cp.GreedyMaxCover(k).Seeds; !slices.Equal(got, order) {
+			t.Fatalf("trial %d: compaction changed the greedy order %v to %v", trial, order, got)
+		}
+		loaded, err := NewCoverageProblemFromInversion(n, gotSets, gotOff, gotData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cp.MemoryBytes(), loaded.MemoryBytes(); got != want || built != want-cp.covered.Bytes() && chained > 1 {
+			t.Fatalf("trial %d: compacted problem reports %d B after building %d, one adopted from its inversion %d", trial, got, built, want)
+		}
+		seg := cp.inv.Load()
+		if built := cp.Compact(); cp.inv.Load() != seg || built != 0 {
+			t.Fatalf("trial %d: compacting one segment rebuilt it (%d B)", trial, built)
+		}
 	}
 }
 

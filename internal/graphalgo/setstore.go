@@ -10,8 +10,8 @@ import "fmt"
 // them in one arena both shrinks the footprint (no per-set header or
 // malloc slack) and makes the greedy max-cover scan cache-friendly.
 //
-// A SetStore is append-only between Resets and is not safe for concurrent
-// mutation; concurrent readers are fine once writing stops.
+// A SetStore is append-only between Resets and Truncates and is not safe
+// for concurrent mutation; concurrent readers are fine once writing stops.
 type SetStore struct {
 	data []int32
 	off  []int64 // len = Len()+1; set i occupies data[off[i]:off[i+1]]
@@ -39,8 +39,8 @@ func (s *SetStore) Len() int { return len(s.off) - 1 }
 func (s *SetStore) NumElems() int64 { return int64(len(s.data)) }
 
 // Set returns the elements of set i as a view into the arena. The view is
-// valid until the next Append or AppendWith (which may move the arena) or
-// Reset.
+// valid until the next Append or AppendWith (which may move the arena),
+// Reset or Truncate.
 func (s *SetStore) Set(i int) []int32 {
 	return s.data[s.off[i]:s.off[i+1]]
 }
@@ -127,12 +127,18 @@ func (s *SetStore) Bytes() int64 {
 }
 
 // Reset discards all sets AND releases the arena (it does not retain
-// capacity): TIM+ discards its KPT-phase collection between phases and the
-// freed bytes must actually return to the allocator for the accounting
-// credit to be truthful.
+// capacity): an RR collection releases its pending arena this way when it
+// is reset or closed, and the freed bytes must actually return to the
+// allocator for the accounting credit to be truthful.
 func (s *SetStore) Reset() {
 	s.data = nil
 	s.off = make([]int64, 1, 16)
+}
+
+// Truncate discards all sets but keeps the arena's capacity, so a bounded
+// arena that is filled and emptied again and again allocates once.
+func (s *SetStore) Truncate() {
+	s.data, s.off = s.data[:0], s.off[:1]
 }
 
 // Raw exposes the arena's two backing arrays (data, offsets) for
